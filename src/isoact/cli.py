@@ -338,7 +338,7 @@ def harmonic_poisson(n, radius, k, seed):
 def harmonic_h1(n, radii):
     """Surviving norm of the half-tree flow across window radii."""
     schedule = parse_schedule(radii)
-    norms = subtree_flow_norms(n, schedule, method="float")
+    norms = subtree_flow_norms(n, schedule)
     emit(
         {
             "check": "halftree-flow-norm",

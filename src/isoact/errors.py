@@ -61,10 +61,6 @@ class TreeMismatch(IsoactError):
     """Edge vectors over different trees cannot be paired."""
 
 
-class BadLevel(IsoactError):
-    """A contraction level is outside 1..n-1."""
-
-
 class OutsideDisc(IsoactError):
     """A point expected inside the open unit disc is not."""
 
@@ -79,10 +75,6 @@ class PreconditionViolation(IsoactError):
 
 class TruncationOverflow(IsoactError):
     """Requested truncation degrees exceed the supported desk scale."""
-
-
-class MissingIngredient(IsoactError):
-    """An averaged-action ingredient was not supplied for some atom."""
 
 
 class PartitionOverflow(IsoactError):

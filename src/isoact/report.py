@@ -18,21 +18,15 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .errors import ConfigError, IoError
 
 PASS = "pass"
 FAIL = "fail"
 UNRESOLVED = "unresolved"
-
-THREAD_ENV = "ISOACT_THREADS"
-
-T = TypeVar("T")
 
 
 def format_number(x) -> str:
@@ -75,14 +69,6 @@ class CheckRow:
     residual: str
     tolerance: str
     verdict: str
-
-
-def _as_number(text: str):
-    if "/" in text:
-        return Fraction(text)
-    if text.lstrip("+-").isdigit():
-        return int(text)
-    return float(text)
 
 
 def check_row(row_id: str, inputs, value, residual, tolerance) -> CheckRow:
@@ -231,29 +217,3 @@ def load_report(path: str) -> Report:
     except OSError as exc:
         raise IoError(f"cannot read report from {path}: {exc}") from exc
 
-
-def thread_count() -> int:
-    raw = os.environ.get(THREAD_ENV)
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{THREAD_ENV} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ConfigError(f"{THREAD_ENV} must be at least 1, got {value}")
-    return value
-
-
-def map_trials(fn: Callable[[int], T], count: int) -> List[T]:
-    """Apply ``fn`` to 0..count-1, optionally on a thread pool.
-
-    Each trial derives its randomness from its own index, so the result
-    list does not depend on scheduling and earlier trials are unchanged
-    when ``count`` grows.
-    """
-    workers = thread_count()
-    if workers == 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))

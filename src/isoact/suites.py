@@ -52,7 +52,6 @@ from .report import (
     check_row,
     digest_of,
     make_report,
-    map_trials,
     unresolved_row,
 )
 from .rtree import (
@@ -160,7 +159,7 @@ def _suite_tree_identities(rc: ResolvedConfig) -> List[CheckRow]:
                 tol,
             )
 
-        rows.extend(map_trials(adjoint_trial, rc.trials))
+        rows.extend(adjoint_trial(k) for k in range(rc.trials))
     return rows
 
 
@@ -188,7 +187,7 @@ def _suite_bergman(rc: ResolvedConfig) -> List[CheckRow]:
             ),
         ]
 
-    return [row for rows in map_trials(trial, rc.trials) for row in rows]
+    return [row for k in range(rc.trials) for row in trial(k)]
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +239,8 @@ def _suite_cocycle_law(rc: ResolvedConfig) -> List[CheckRow]:
         inputs = {"seed": rc.seed, "trial": k, "degree": degree}
         return check_row(f"su-{k:03d}", inputs, residual, residual, rc.tolerance)
 
-    rows = map_trials(tree_trial, rc.trials)
-    rows.extend(map_trials(su_trial, su_trials))
+    rows = [tree_trial(k) for k in range(rc.trials)]
+    rows.extend(su_trial(k) for k in range(su_trials))
     return rows
 
 
@@ -281,7 +280,7 @@ def _suite_translation_length(rc: ResolvedConfig) -> List[CheckRow]:
         inputs = {"seed": rc.seed, "trial": k, "g": list(g.letters), "radius": radius}
         return check_row(f"word-{k:03d}", inputs, ell, residual, ZERO)
 
-    return map_trials(trial, rc.trials)
+    return [trial(k) for k in range(rc.trials)]
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +304,7 @@ def _suite_length_recovery(rc: ResolvedConfig) -> List[CheckRow]:
         inputs = {"seed": rc.seed, "trial": k, "g": list(g.letters), "scale": str(scale)}
         return check_row(f"power-{k:02d}", inputs, expected, worst, ZERO)
 
-    return map_trials(trial, rc.trials)
+    return [trial(k) for k in range(rc.trials)]
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +331,7 @@ def _suite_sp_tau(rc: ResolvedConfig) -> List[CheckRow]:
                 return check_row(f"{label}-{k:04d}", inputs, residual, residual, rc.tolerance)
             return unresolved_row(f"{label}-{k:04d}", inputs, "branch guards exhausted")
 
-        rows.extend(map_trials(trial, rc.trials))
+        rows.extend(trial(k) for k in range(rc.trials))
         rng = _rng(rc, stream + 10, 0)
         g = sp_random(rng, half_dim, scale)
         e = sp_identity(half_dim)
@@ -387,8 +386,8 @@ def _suite_measure_cocycle(rc: ResolvedConfig) -> List[CheckRow]:
         inputs = {"seed": rc.seed, "trial": k, "atoms": [len(m.atoms) for m in (mu, nu, rho)]}
         return check_row(f"tree-{k:03d}", inputs, residual, residual, ZERO)
 
-    rows = map_trials(su_trial, rc.trials)
-    rows.extend(map_trials(tree_trial, rc.trials))
+    rows = [su_trial(k) for k in range(rc.trials)]
+    rows.extend(tree_trial(k) for k in range(rc.trials))
     return rows
 
 
@@ -414,7 +413,7 @@ def _suite_cpd_gns(rc: ResolvedConfig) -> List[CheckRow]:
             check_row(f"gns-{k:02d}", inputs, gram_dev, gram_dev, rc.tolerance),
         ]
 
-    return [row for rows in map_trials(trial, rc.trials) for row in rows]
+    return [row for k in range(rc.trials) for row in trial(k)]
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +423,8 @@ def _suite_cpd_gns(rc: ResolvedConfig) -> List[CheckRow]:
 
 def _suite_h1(rc: ResolvedConfig) -> List[CheckRow]:
     radii = tuple(int(r) for r in rc.params.get("radii", (6, 8, 10)))
+    if len(radii) < 2:
+        raise ConfigError(f"radii needs at least two radii to measure drift, got {list(radii)}")
     floor = float(rc.params.get("floor", 0.1))
     drift = float(rc.params.get("drift", 0.05))
     ball = TreeBall(2, 5)
@@ -435,13 +436,13 @@ def _suite_h1(rc: ResolvedConfig) -> List[CheckRow]:
         r = [
             ZERO if i in boundary else _rational(rng) for i in range(len(graph.vertices))
         ]
-        _, remainder = harmonic_decompose(graph, gradient(graph, r), method="exact")
+        _, remainder = harmonic_decompose(graph, gradient(graph, r))
         norm2 = edge_inner(remainder, remainder)
         inputs = {"seed": rc.seed, "trial": k}
         return check_row(f"coboundary-{k:02d}", inputs, norm2, norm2, rc.tolerance)
 
-    rows = map_trials(coboundary_trial, min(rc.trials, 10))
-    norms = subtree_flow_norms(3, radii, method="float")
+    rows = [coboundary_trial(k) for k in range(min(rc.trials, 10))]
+    norms = subtree_flow_norms(3, radii)
     for radius, norm2 in zip(radii, norms):
         rows.append(
             check_row(
@@ -523,7 +524,7 @@ def _suite_fock_mult(rc: ResolvedConfig) -> List[CheckRow]:
                 f"d{dimension}n{degree:02d}-{k:02d}", inputs, residual, residual, rc.tolerance
             )
 
-        rows.extend(map_trials(trial, rc.trials))
+        rows.extend(trial(k) for k in range(rc.trials))
     return rows
 
 
@@ -544,7 +545,7 @@ def _suite_triangle(rc: ResolvedConfig) -> List[CheckRow]:
         inputs = {"seed": rc.seed, "trial": k, "size": size, "triple": [x, y, z]}
         return check_row(f"triple-{k:03d}", inputs, norm2, norm2, ZERO)
 
-    return map_trials(trial, rc.trials)
+    return [trial(k) for k in range(rc.trials)]
 
 
 # ---------------------------------------------------------------------------

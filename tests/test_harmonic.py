@@ -1,6 +1,9 @@
 """Difference operators, Poisson transform, kernel grams, harmonic splits."""
 
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +12,12 @@ from isoact.errors import (
     BallTooSmall,
     ConstraintViolation,
     NotZeroMean,
+    SolveFailure,
     TreeMismatch,
 )
+import isoact
 from isoact.harmonic import (
+    OrientedGraph,
     cylinder_basis,
     cylinder_vertices,
     divergence,
@@ -30,11 +36,49 @@ from isoact.harmonic import (
     tree_ball_graph,
     vertex_inner,
 )
+from isoact.immobile import CayleyWindow
 from isoact.treeball import TreeBall, common_prefix_length, cylinder_measure
 
 
 def rational_list(rng, count, span=6):
     return [Fraction(int(rng.integers(-span, span + 1)), int(rng.integers(1, 4))) for _ in range(count)]
+
+
+def _solve_fraction_dense(rows, rhs):
+    """Gauss-Jordan elimination in exact rationals; the oracle for the tree solver."""
+    m = len(rows)
+    aug = [list(rows[i]) + [rhs[i]] for i in range(m)]
+    for col in range(m):
+        piv = next(r for r in range(col, m) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = Fraction(1) / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(m):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    return [aug[i][m] for i in range(m)]
+
+
+def dense_decompose(graph, flow):
+    """Dirichlet split by assembling the interior Laplacian densely."""
+    interior = [i for i, flag in enumerate(graph.interior) if flag]
+    pos = {v: j for j, v in enumerate(interior)}
+    rhs = divergence(graph, flow)
+    m = len(interior)
+    rows = [[Fraction(0)] * m for _ in range(m)]
+    for j, i in enumerate(interior):
+        rows[j][j] = Fraction(graph.degree(i))
+        for e, _sign in graph.incident[i]:
+            t, h = graph.edges[e]
+            other = h if t == i else t
+            if other in pos:
+                rows[j][pos[other]] -= 1
+    sol = _solve_fraction_dense(rows, [Fraction(rhs[i]) for i in interior])
+    u = [Fraction(0)] * len(graph.vertices)
+    for j, i in enumerate(interior):
+        u[i] = sol[j]
+    return u, [a - b for a, b in zip(flow, gradient(graph, u))]
 
 
 class TestDifferenceOperators:
@@ -246,7 +290,7 @@ class TestHarmonicDecompose:
         graph = tree_ball_graph(ball)
         rng = np.random.default_rng(23)
         flow = rational_list(rng, len(graph.edges))
-        u, rem = harmonic_decompose(graph, flow, method="exact")
+        u, rem = harmonic_decompose(graph, flow)
         div = divergence(graph, rem)
         for i, flag in enumerate(graph.interior):
             if flag:
@@ -260,8 +304,8 @@ class TestHarmonicDecompose:
         ball = TreeBall(2, 4)
         graph = tree_ball_graph(ball)
         flow = single_edge_flow(graph, (), (0,))
-        _, rem_e = harmonic_decompose(graph, flow, method="exact")
-        _, rem_f = harmonic_decompose(graph, [float(x) for x in flow], method="float")
+        _, rem_e = harmonic_decompose(graph, flow)
+        _, rem_f = harmonic_decompose(graph, [float(x) for x in flow])
         assert max(abs(float(a) - b) for a, b in zip(rem_e, rem_f)) < 1e-10
         assert interior_divergence_max(graph, rem_f) < 1e-10
 
@@ -272,13 +316,13 @@ class TestHarmonicDecompose:
         data[(0,)] = Fraction(1)
         data[(1,)] = Fraction(-1)
         vals = poisson_transform(ball, graph, 1, data)
-        u, rem = harmonic_decompose(graph, vals, method="exact")
+        u, rem = harmonic_decompose(graph, vals)
         # divergence-free input: the gradient part solves with zero data
         assert all(x == 0 for x in u)
         assert rem == vals
 
     def test_subtree_flow_norm_approaches_half(self):
-        norms = subtree_flow_norms(3, [4, 6], method="float")
+        norms = subtree_flow_norms(3, [4, 6])
         assert norms[0] == pytest.approx(0.5, abs=2e-2)
         assert norms[1] == pytest.approx(0.5, abs=2e-3)
         assert abs(norms[0] - norms[1]) < 1e-2
@@ -287,6 +331,60 @@ class TestHarmonicDecompose:
         ball = TreeBall(2, 3)
         graph = tree_ball_graph(ball)
         flow = single_edge_flow(graph, (), (1,))
-        _, rem = harmonic_decompose(graph, flow, method="exact")
+        _, rem = harmonic_decompose(graph, flow)
         val = edge_inner(rem, rem)
         assert Fraction(1, 3) < val < Fraction(1, 2)
+
+
+class TestTreeSolver:
+    GRAPHS = [
+        ("ball-2-3", lambda: tree_ball_graph(TreeBall(2, 3))),
+        ("ball-2-4", lambda: tree_ball_graph(TreeBall(2, 4))),
+        ("ball-2-5", lambda: tree_ball_graph(TreeBall(2, 5))),
+        ("ball-3-3", lambda: tree_ball_graph(TreeBall(3, 3))),
+        ("cayley-2-3", lambda: CayleyWindow(2, 3).graph()),
+        ("cayley-2-4", lambda: CayleyWindow(2, 4).graph()),
+        ("cayley-3-2", lambda: CayleyWindow(3, 2).graph()),
+    ]
+
+    @pytest.mark.parametrize("build", [b for _, b in GRAPHS], ids=[name for name, _ in GRAPHS])
+    def test_matches_dense_oracle(self, build):
+        graph = build()
+        rng = np.random.default_rng(len(graph.vertices))
+        for _ in range(2):
+            flow = rational_list(rng, len(graph.edges))
+            u, rem = harmonic_decompose(graph, flow)
+            assert all(isinstance(x, Fraction) for x in u + rem)
+            assert (u, rem) == dense_decompose(graph, flow)
+
+    def test_extra_edge_is_rejected(self):
+        graph = tree_ball_graph(TreeBall(2, 2))
+        cyclic = OrientedGraph(graph.vertices, graph.edges + ((1, 2),), graph.interior)
+        with pytest.raises(SolveFailure, match="not a tree"):
+            harmonic_decompose(cyclic, [Fraction(1)] * len(cyclic.edges))
+
+    def test_disconnected_graph_is_rejected(self):
+        # a triangle plus an isolated vertex: |E| = |V| - 1 but no tree
+        graph = OrientedGraph(("a", "b", "c", "d"), ((0, 1), (1, 2), (2, 0)), (True, True, False, False))
+        with pytest.raises(SolveFailure, match="connected"):
+            harmonic_decompose(graph, [Fraction(1)] * 3)
+
+    def test_all_interior_tree_is_rejected(self):
+        graph = OrientedGraph(("a", "b", "c"), ((0, 1), (1, 2)), (True, True, True))
+        with pytest.raises(SolveFailure, match="boundary"):
+            harmonic_decompose(graph, [Fraction(1), Fraction(2)])
+
+    def test_boundary_root_is_allowed(self):
+        # only the middle vertex is interior; the root at index 0 is boundary
+        graph = OrientedGraph(("a", "b", "c"), ((0, 1), (1, 2)), (False, True, False))
+        u, rem = harmonic_decompose(graph, [Fraction(1), Fraction(3)])
+        assert u == [0, Fraction(-1), 0]
+        assert rem == [Fraction(2), Fraction(2)]
+
+    def test_cli_import_leaves_scipy_sparse_unloaded(self):
+        src = str(Path(isoact.__file__).resolve().parents[1])
+        probe = "import sys; sys.path.insert(0, sys.argv[1]); import isoact.cli; print('scipy.sparse' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", probe, src], capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "False"

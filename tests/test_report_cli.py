@@ -19,11 +19,9 @@ from isoact.report import (
     format_value,
     load_report,
     make_report,
-    map_trials,
     render_report,
     report_from_dict,
     report_to_dict,
-    thread_count,
     unresolved_row,
 )
 from isoact.suites import resolve_config, run_suite, suite_names
@@ -165,6 +163,11 @@ class TestResolution:
         with pytest.raises(ConfigError, match="'wavelength'.*bergman"):
             resolve_config(cfg)
 
+    def test_h1_single_radius_names_key(self):
+        cfg = SuiteConfig.make("h1", params={"radii": [6]})
+        with pytest.raises(ConfigError, match="radii"):
+            run_suite(cfg)
+
     def test_defaults_fill_in(self):
         rc = resolve_config(SuiteConfig.make("bergman"))
         assert rc.mode == "float" and rc.trials == 50 and rc.tolerance == 1e-6
@@ -185,28 +188,6 @@ class TestDeterminism:
         assert set(short_rows) < set(long_rows)
         for row_id, row in short_rows.items():
             assert long_rows[row_id] == row
-
-    def test_threaded_run_identical_bytes(self, monkeypatch):
-        cfg = SuiteConfig.make("cpd-gns", seed=3, trials=6)
-        plain = render_report(run_suite(cfg), "json")
-        monkeypatch.setenv("ISOACT_THREADS", "3")
-        assert render_report(run_suite(cfg), "json") == plain
-
-    def test_thread_env_parsing(self, monkeypatch):
-        monkeypatch.delenv("ISOACT_THREADS", raising=False)
-        assert thread_count() == 1
-        monkeypatch.setenv("ISOACT_THREADS", "4")
-        assert thread_count() == 4
-        monkeypatch.setenv("ISOACT_THREADS", "many")
-        with pytest.raises(ConfigError, match="ISOACT_THREADS"):
-            thread_count()
-        monkeypatch.setenv("ISOACT_THREADS", "0")
-        with pytest.raises(ConfigError, match="ISOACT_THREADS"):
-            thread_count()
-
-    def test_map_trials_preserves_order(self, monkeypatch):
-        monkeypatch.setenv("ISOACT_THREADS", "4")
-        assert map_trials(lambda i: i * i, 10) == [i * i for i in range(10)]
 
 
 class TestRunCommand:
