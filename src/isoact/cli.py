@@ -37,7 +37,6 @@ from .harmonic import (
     gram_neg_log_padic,
     poisson_transform,
     root_mean,
-    subtree_flow_norms,
     tree_ball_graph,
 )
 from .immobile import (
@@ -62,7 +61,7 @@ from .treeball import (
     lattice_distance,
 )
 
-CONFIG_KEYS = ("suite", "mode", "seed", "trials", "tolerance", "params")
+CONFIG_KEYS = ("suite", "seed", "trials", "tolerance", "params")
 
 
 def guarded(fn):
@@ -84,7 +83,25 @@ def parse_json(text: str, what: str):
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise click.ClickException(f"malformed JSON for {what}: {exc}") from exc
+        raise ConfigError(f"malformed JSON for {what}: {exc}") from exc
+
+
+def parse_address(text: str, what: str):
+    """A tree-ball address: a JSON list of integer digits."""
+    digits = parse_json(text, what)
+    if not isinstance(digits, list) or not all(type(d) is int for d in digits):
+        raise ConfigError(f"{what} must be a JSON list of integers, got {text!r}")
+    return tuple(digits)
+
+
+def parse_rational(value, what: str) -> Fraction:
+    """An exact rational from a JSON integer, float or "p/q" string."""
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            return Fraction(str(value))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ConfigError(f"{what} entries must be integers or 'p/q' strings, got {value!r}")
 
 
 def parse_group(text: str) -> int:
@@ -130,37 +147,31 @@ def main():
 @click.option("--seed", type=int, default=None, help="64-bit reproducibility seed.")
 @click.option("--trials", type=int, default=None, help="Number of random trials.")
 @click.option("--tol", type=float, default=None, help="Residual tolerance for float checks.")
-@click.option("--mode", type=click.Choice(["exact", "float"]), default=None)
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write report here.")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--list", "list_suites", is_flag=True, help="List registered suites and exit.")
 @click.pass_context
 @guarded
-def run_command(ctx, suite, seed, trials, tol, mode, out, fmt, config_path, list_suites):
+def run_command(ctx, suite, seed, trials, tol, out, fmt, config_path, list_suites):
     """Run one verification suite and emit its report."""
     if list_suites:
         emit(suite_names())
         return
     file_cfg = {}
     if config_path is not None:
-        with open(config_path, "r", encoding="utf-8") as handle:
-            file_cfg = json.load(handle)
+        with open(config_path, "r", encoding="utf-8", errors="replace") as handle:
+            file_cfg = parse_json(handle.read(), f"--config {config_path}")
+        if not isinstance(file_cfg, dict):
+            raise ConfigError(f"--config {config_path} must hold a JSON object, got {file_cfg!r}")
         for key in file_cfg:
             if key not in CONFIG_KEYS:
                 raise ConfigError(f"unknown configuration key {key!r}")
-    suite = suite if suite is not None else file_cfg.get("suite")
-    if suite is None:
+    flags = {"suite": suite, "seed": seed, "trials": trials, "tolerance": tol}
+    merged = {**file_cfg, **{key: v for key, v in flags.items() if v is not None}}
+    if merged.get("suite") is None:
         raise ConfigError("no suite given; pass --suite or put 'suite' in the config file")
-    cfg = SuiteConfig.make(
-        suite,
-        mode=mode if mode is not None else file_cfg.get("mode"),
-        seed=seed if seed is not None else int(file_cfg.get("seed", 0)),
-        trials=trials if trials is not None else file_cfg.get("trials"),
-        tolerance=tol if tol is not None else file_cfg.get("tolerance"),
-        params=file_cfg.get("params", {}),
-    )
-    report = run_suite(cfg)
+    report = run_suite(SuiteConfig.make(**merged))
     if out is not None:
         emit_report(report, fmt, out)
         counts = report.summary()
@@ -209,9 +220,7 @@ def tree_ball(n, radius):
 def tree_dist(n, radius, u, v):
     """Graph distance between two ball vertices."""
     ball = TreeBall(n, radius)
-    a = tuple(parse_json(u, "--u"))
-    b = tuple(parse_json(v, "--v"))
-    emit({"distance": ball.distance(a, b)})
+    emit({"distance": ball.distance(parse_address(u, "--u"), parse_address(v, "--v"))})
 
 
 @tree.command(name="absmetric")
@@ -223,7 +232,7 @@ def tree_dist(n, radius, u, v):
 def tree_absmetric(n, radius, x, y):
     """Ultrametric between two ends, read off their common prefix."""
     ball = TreeBall(n, radius)
-    value = abs_metric(ball, tuple(parse_json(x, "--x")), tuple(parse_json(y, "--y")))
+    value = abs_metric(ball, parse_address(x, "--x"), parse_address(y, "--y"))
     emit({"delta": str(value)})
 
 
@@ -235,7 +244,7 @@ def tree_absmetric(n, radius, x, y):
 def tree_measure(n, radius, v):
     """Canonical measure of the cylinder below a vertex."""
     ball = TreeBall(n, radius)
-    emit({"measure": str(cylinder_measure(ball, tuple(parse_json(v, "--v"))))})
+    emit({"measure": str(cylinder_measure(ball, parse_address(v, "--v")))})
 
 
 @tree.command(name="latdist")
@@ -248,7 +257,13 @@ def tree_latdist(p, m1, m2):
 
     def matrix(text, what):
         rows = parse_json(text, what)
-        return tuple(tuple(Fraction(str(x)) for x in row) for row in rows)
+        if not (
+            isinstance(rows, list)
+            and len(rows) == 2
+            and all(isinstance(row, list) and len(row) == 2 for row in rows)
+        ):
+            raise ConfigError(f"{what} must be a 2x2 JSON matrix, got {text!r}")
+        return tuple(tuple(parse_rational(x, what) for x in row) for row in rows)
 
     emit({"distance": lattice_distance(matrix(m1, "--m1"), matrix(m2, "--m2"), p)})
 
@@ -264,7 +279,7 @@ def tree_deriv(n, radius, rank, word, end):
     """Boundary derivative of a free-word automorphism at an end."""
     g = word_from_json(parse_json(word, "--word"), rank)
     auto = freeword_automorphism(g, radius)
-    value = boundary_derivative(auto, tuple(parse_json(end, "--end")))
+    value = boundary_derivative(auto, parse_address(end, "--end"))
     emit({"derivative": str(value)})
 
 
@@ -276,28 +291,6 @@ def tree_deriv(n, radius, rank, word, end):
 @main.group()
 def harmonic():
     """Discrete calculus on tree balls and boundary kernels."""
-
-
-@harmonic.command(name="identities")
-@click.option("--n", type=int, default=2, show_default=True)
-@click.option("--radius", type=int, default=4, show_default=True)
-@click.option("--mode", type=click.Choice(["exact", "float"]), default="exact")
-@click.option("--trials", type=int, default=20, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.pass_context
-@guarded
-def harmonic_identities(ctx, n, radius, mode, trials, seed):
-    """Laplacian factorisation and adjointness on one ball."""
-    cfg = SuiteConfig.make(
-        "tree-identities",
-        mode=mode,
-        seed=seed,
-        trials=trials,
-        params={"n_values": (n,), "radius": radius},
-    )
-    report = run_suite(cfg)
-    click.echo(render_report(report, "json"), nl=False)
-    ctx.exit(report.exit_status())
 
 
 @harmonic.command(name="poisson")
@@ -327,24 +320,6 @@ def harmonic_poisson(n, radius, k, seed):
             "root_mean": str(root_mean(ball, k, data)),
             "residual": str(worst),
             "verdict": "pass" if worst == 0 else "fail",
-        }
-    )
-
-
-@harmonic.command(name="h1")
-@click.option("--n", type=int, default=3, show_default=True)
-@click.option("--radii", type=str, default="6,8,10", show_default=True)
-@guarded
-def harmonic_h1(n, radii):
-    """Surviving norm of the half-tree flow across window radii."""
-    schedule = parse_schedule(radii)
-    norms = subtree_flow_norms(n, schedule)
-    emit(
-        {
-            "check": "halftree-flow-norm",
-            "params": {"n": n, "radii": schedule},
-            "norms": norms,
-            "verdict": "pass" if all(v > 0.1 for v in norms) else "fail",
         }
     )
 
@@ -423,23 +398,14 @@ def rtree_validate(ctx, track):
 def rtree_metric(track, points):
     """Exact pairwise strip-space distances between chart points."""
     loaded = load_track(track)
-    pts = [(int(e), Fraction(str(x))) for e, x in parse_json(points, "--points")]
+    entries = parse_json(points, "--points")
+    if not isinstance(entries, list) or not all(
+        isinstance(p, list) and len(p) == 2 and type(p[0]) is int for p in entries
+    ):
+        raise ConfigError(f'--points must be a JSON list of [edge, "p/q"] pairs, got {points!r}')
+    pts = [(e, parse_rational(x, "--points")) for e, x in entries]
     metric = TrackMetric(loaded, pts)
     emit({"distances": [[str(d) for d in row] for row in metric.pairwise()]})
-
-
-@rtree.command(name="pairing")
-@click.option("--size", type=int, default=40, show_default=True)
-@click.option("--trials", type=int, default=100, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.pass_context
-@guarded
-def rtree_pairing(ctx, size, trials, seed):
-    """Triangle cancellation of geodesic flows in random metric trees."""
-    cfg = SuiteConfig.make("triangle", seed=seed, trials=trials, params={"size": size})
-    report = run_suite(cfg)
-    click.echo(render_report(report, "json"), nl=False)
-    ctx.exit(report.exit_status())
 
 
 @rtree.command(name="length")
@@ -529,28 +495,6 @@ def mobius_length(g):
     emit({"length": mo.hyperbolic_length(su_from_json(parse_json(g, "--g")))})
 
 
-@mobius.command(name="cpd")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--trials", type=int, default=20, show_default=True)
-@click.option("--size", type=int, default=6, show_default=True)
-@click.option("--tol", type=float, default=1e-9, show_default=True)
-@guarded
-def mobius_cpd(seed, trials, size, tol):
-    """Centered-eigenvalue test of the squared-norm kernel."""
-    worst = -np.inf
-    for k in range(trials):
-        rng = np.random.default_rng([seed, k])
-        els = [su_random(rng, 0.8) for _ in range(size)]
-        worst = max(worst, mo.centered_max_eigenvalue(mo.kernel_matrix(els, mo.phi)))
-    emit(
-        {
-            "max_centered_eigenvalue": worst,
-            "trials": trials,
-            "verdict": "pass" if worst <= tol else "fail",
-        }
-    )
-
-
 @mobius.command(name="gns")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--size", type=int, default=8, show_default=True)
@@ -596,34 +540,6 @@ def mobius_probe(seed, powers, slope_threshold):
 @main.group()
 def cocycle():
     """Scalar 2-cocycles: symplectic, averaged, lattice, and step groups."""
-
-
-@cocycle.command(name="sp-tau")
-@click.option("--trials", type=int, default=1000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--tol", type=float, default=1e-9, show_default=True)
-@click.pass_context
-@guarded
-def cocycle_sp_tau(ctx, trials, seed, tol):
-    """Symplectic phase-defect cocycle identity over guarded triples."""
-    cfg = SuiteConfig.make("sp-tau", seed=seed, trials=trials, tolerance=tol)
-    report = run_suite(cfg)
-    click.echo(render_report(report, "json"), nl=False)
-    ctx.exit(report.exit_status())
-
-
-@cocycle.command(name="measures")
-@click.option("--trials", type=int, default=100, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--tol", type=float, default=1e-8, show_default=True)
-@click.pass_context
-@guarded
-def cocycle_measures(ctx, trials, seed, tol):
-    """Convolution 2-cocycle identity for finitely supported measures."""
-    cfg = SuiteConfig.make("measure-cocycle", seed=seed, trials=trials, tolerance=tol)
-    report = run_suite(cfg)
-    click.echo(render_report(report, "json"), nl=False)
-    ctx.exit(report.exit_status())
 
 
 @cocycle.command(name="lattice")

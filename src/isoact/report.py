@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Mapping, Optional, Sequence, Tuple
@@ -104,44 +105,47 @@ def unresolved_row(row_id: str, inputs, note: str) -> CheckRow:
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """What to run: suite name, numeric mode, seeding, and knobs.
+    """What to run: suite name, seeding, tolerance, and suite parameters.
 
-    ``trials``, ``tolerance``, and ``mode`` may be left unset, in which
-    case the suite's registered defaults apply.  ``params`` carries
-    suite-specific keys; unknown keys are rejected when the suite runs.
+    ``trials`` and ``tolerance`` may be left unset, in which case the
+    suite's registered defaults apply; a set tolerance is a positive finite
+    number.  ``params`` carries the suite's own keys; when the suite runs
+    they are checked against its declared table (type and range), unknown
+    keys are rejected, and missing ones take their declared defaults.
     """
 
     suite: str
-    mode: Optional[str] = None
     seed: int = 0
     trials: Optional[int] = None
     tolerance: Optional[float] = None
     params: Tuple[Tuple[str, object], ...] = ()
 
     def __post_init__(self):
-        if self.mode not in (None, "exact", "float"):
-            raise ConfigError(f"mode must be 'exact' or 'float', got {self.mode!r}")
+        if not isinstance(self.suite, str):
+            raise ConfigError(f"suite must be a suite name, got {self.suite!r}")
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         if self.trials is not None and (not isinstance(self.trials, int) or self.trials < 1):
             raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
-        if self.tolerance is not None and not float(self.tolerance) > 0:
-            raise ConfigError(f"tolerance must be positive, got {self.tolerance!r}")
+        if self.tolerance is not None and not (
+            isinstance(self.tolerance, (int, float))
+            and not isinstance(self.tolerance, bool)
+            and 0 < self.tolerance <= sys.float_info.max
+        ):
+            raise ConfigError(f"tolerance must be a positive finite number, got {self.tolerance!r}")
 
     @staticmethod
     def make(
         suite: str,
-        mode: Optional[str] = None,
         seed: int = 0,
         trials: Optional[int] = None,
         tolerance: Optional[float] = None,
         params: Optional[Mapping[str, object]] = None,
     ) -> "SuiteConfig":
+        if params is not None and not isinstance(params, Mapping):
+            raise ConfigError(f"params must be an object of suite parameters, got {params!r}")
         items = tuple(sorted((params or {}).items()))
-        return SuiteConfig(suite, mode, seed, trials, tolerance, items)
-
-    def params_dict(self) -> Dict[str, object]:
-        return dict(self.params)
+        return SuiteConfig(suite, seed, trials, tolerance, items)
 
 
 @dataclass(frozen=True)

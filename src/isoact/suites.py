@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -24,8 +24,14 @@ from .cocycles import (
     tau,
     tau_cocycle_residual,
 )
-from .errors import BranchGuard, ConfigError, IllConditionedPhi
-from .fock import exp_compose_residual, haar_unitary, random_translation
+from .errors import BranchGuard, ConfigError, ConstraintViolation, IllConditionedPhi
+from .fock import (
+    MAX_DEGREE,
+    MAX_DIMENSION,
+    exp_compose_residual,
+    haar_unitary,
+    random_translation,
+)
 from .groups import (
     FiniteMeasure,
     FreeWord,
@@ -66,12 +72,82 @@ from .treeball import TreeBall
 ZERO = Fraction(0)
 
 
+_KIND_TEXT = {int: "an integer", float: "a number", Fraction: "a 'p/q' fraction"}
+_ACCEPTS = {int: int, float: (int, float), Fraction: (int, str, Fraction), str: str}
+
+
+@dataclass(frozen=True)
+class Param:
+    """One declared suite parameter: its name, type, default and range.
+
+    A number of ``kind`` (``Fraction`` from an integer or a "p/q" string)
+    lies in ``low..high``, or with tuple bounds is a list of one number per
+    bound; a ``str`` is one of ``choices``.  ``at_least > 0`` asks for a
+    list of that many or more distinct such values.  A None default is
+    worked out by the suite.
+    """
+
+    name: str
+    kind: type
+    default: object
+    low: object = None
+    high: object = None
+    choices: Tuple[str, ...] = ()
+    at_least: int = 0
+
+    def describe(self) -> str:
+        if self.choices:
+            return "one of " + ", ".join(repr(c) for c in self.choices)
+        if isinstance(self.low, tuple):
+            ranges = ", ".join(f"{lo}..{hi}" for lo, hi in zip(self.low, self.high))
+            entry = f"a list of {len(self.low)} integers in {ranges}"
+        else:
+            entry = f"{_KIND_TEXT[self.kind]} in {self.low}..{self.high}"
+        if self.at_least:
+            return f"a list of at least {self.at_least} distinct entries, each {entry}"
+        return entry
+
+    def resolve(self, suite: str, value):
+        """The typed value, or ConfigError naming the suite, the key and the value."""
+        try:
+            if not self.at_least:
+                return self._entry(value, self.low, self.high)
+            if not isinstance(value, (list, tuple)) or len(value) < self.at_least:
+                raise ValueError
+            entries = tuple(self._entry(v, self.low, self.high) for v in value)
+            if len(set(entries)) != len(entries):
+                raise ValueError
+            return entries
+        except ValueError:
+            raise ConfigError(
+                f"{suite}: parameter {self.name!r} must be {self.describe()}, got {value!r}"
+            ) from None
+
+    def _entry(self, value, low, high):
+        if isinstance(low, tuple):
+            if not isinstance(value, (list, tuple)) or len(value) != len(low):
+                raise ValueError
+            return tuple(self._entry(v, lo, hi) for v, lo, hi in zip(value, low, high))
+        if isinstance(value, bool) or not isinstance(value, _ACCEPTS[self.kind]):
+            raise ValueError
+        if self.choices:
+            if value not in self.choices:
+                raise ValueError
+            return value
+        try:
+            value = self.kind(value)
+        except (OverflowError, ZeroDivisionError):
+            raise ValueError from None
+        if not low <= value <= high:
+            raise ValueError
+        return value
+
+
 @dataclass(frozen=True)
 class ResolvedConfig:
-    """A suite config with every default filled in."""
+    """A suite config with every parameter typed and every default filled in."""
 
     suite: str
-    mode: str
     seed: int
     trials: int
     tolerance: float
@@ -80,23 +156,22 @@ class ResolvedConfig:
     def as_dict(self) -> dict:
         return {
             "suite": self.suite,
-            "mode": self.mode,
             "seed": self.seed,
             "trials": self.trials,
             "tolerance": self.tolerance,
-            "params": {k: str(v) for k, v in sorted(self.params.items())},
+            "params": {
+                k: str(v) if isinstance(v, Fraction) else v for k, v in sorted(self.params.items())
+            },
         }
 
 
 @dataclass(frozen=True)
 class SuiteEntry:
-    name: str
     run: Callable[[ResolvedConfig], List[CheckRow]]
     description: str
-    default_mode: str
     default_trials: int
     default_tolerance: float
-    allowed_params: Tuple[str, ...]
+    params: Tuple[Param, ...]
 
 
 def _rng(rc: ResolvedConfig, stream: int, trial: int) -> np.random.Generator:
@@ -113,17 +188,16 @@ def _rational(rng: np.random.Generator) -> Fraction:
 
 
 def _suite_tree_identities(rc: ResolvedConfig) -> List[CheckRow]:
-    n_values = rc.params.get("n_values", (2, 3, 5))
+    mode = rc.params["mode"]
     default_radii = {2: 5, 3: 4, 5: 3}
     rows: List[CheckRow] = []
-    for n in n_values:
-        n = int(n)
-        radius = int(rc.params.get("radius", default_radii.get(n, 3)))
+    for n in rc.params["n_values"]:
+        radius = rc.params["radius"] or default_radii.get(n, 3)
         ball = TreeBall(n, radius)
         graph = tree_ball_graph(ball)
         size = len(graph.vertices)
         p = n + 1
-        exact = rc.mode == "exact"
+        exact = mode == "exact"
         one = Fraction(1) if exact else 1.0
         zero = ZERO if exact else 0.0
 
@@ -136,7 +210,7 @@ def _suite_tree_identities(rc: ResolvedConfig) -> List[CheckRow]:
             mv = mean_value_laplacian(ball, graph, basis)
             for j, val in mv.items():
                 worst = max(worst, abs(dg[j] - p * val))
-        inputs = {"n": n, "radius": radius, "mode": rc.mode}
+        inputs = {"n": n, "radius": radius, "mode": mode}
         tol = ZERO if exact else rc.tolerance
         rows.append(check_row(f"matrix-n{n}", inputs, f"{size}x{size}", worst, tol))
 
@@ -169,8 +243,8 @@ def _suite_tree_identities(rc: ResolvedConfig) -> List[CheckRow]:
 
 
 def _suite_bergman(rc: ResolvedConfig) -> List[CheckRow]:
-    degree = int(rc.params.get("degree", 100))
-    max_ratio = float(rc.params.get("max_ratio", 0.8))
+    degree = rc.params["degree"]
+    max_ratio = rc.params["max_ratio"]
 
     def trial(k: int) -> List[CheckRow]:
         rng = _rng(rc, 0, k)
@@ -196,8 +270,8 @@ def _suite_bergman(rc: ResolvedConfig) -> List[CheckRow]:
 
 
 def _suite_asymptotic(rc: ResolvedConfig) -> List[CheckRow]:
-    t_min = int(rc.params.get("t_min", 5))
-    t_max = int(rc.params.get("t_max", 15))
+    t_min = rc.params["t_min"]
+    t_max = rc.params["t_max"]
     if t_max <= t_min:
         raise ConfigError(f"t_max must exceed t_min, got {t_min} .. {t_max}")
     errors = {t: mo.asymptotic_error(su_boost(float(t))) for t in range(t_min, t_max + 1)}
@@ -218,10 +292,10 @@ def _suite_asymptotic(rc: ResolvedConfig) -> List[CheckRow]:
 
 
 def _suite_cocycle_law(rc: ResolvedConfig) -> List[CheckRow]:
-    word_length = int(rc.params.get("word_length", 6))
-    su_trials = int(rc.params.get("su_trials", 50))
-    degree = int(rc.params.get("degree", 80))
-    max_ratio = float(rc.params.get("max_ratio", 0.8))
+    word_length = rc.params["word_length"]
+    su_trials = rc.params["su_trials"]
+    degree = rc.params["degree"]
+    max_ratio = rc.params["max_ratio"]
 
     def tree_trial(k: int) -> CheckRow:
         rng = _rng(rc, 0, k)
@@ -266,8 +340,8 @@ def _window_words(rank: int, radius: int) -> List[FreeWord]:
 
 
 def _suite_translation_length(rc: ResolvedConfig) -> List[CheckRow]:
-    radius = int(rc.params.get("radius", 8))
-    word_length = int(rc.params.get("word_length", 6))
+    radius = rc.params["radius"]
+    word_length = rc.params["word_length"]
     window = _window_words(2, radius)
 
     def trial(k: int) -> CheckRow:
@@ -289,8 +363,8 @@ def _suite_translation_length(rc: ResolvedConfig) -> List[CheckRow]:
 
 
 def _suite_length_recovery(rc: ResolvedConfig) -> List[CheckRow]:
-    n_max = int(rc.params.get("n_max", 50))
-    word_length = int(rc.params.get("word_length", 6))
+    n_max = rc.params["n_max"]
+    word_length = rc.params["word_length"]
 
     def trial(k: int) -> CheckRow:
         rng = _rng(rc, 0, k)
@@ -313,7 +387,7 @@ def _suite_length_recovery(rc: ResolvedConfig) -> List[CheckRow]:
 
 
 def _suite_sp_tau(rc: ResolvedConfig) -> List[CheckRow]:
-    scale = float(rc.params.get("scale", 0.4))
+    scale = rc.params["scale"]
     attempts = 5
     rows: List[CheckRow] = []
     for stream, half_dim in ((0, 1), (1, 2)):
@@ -370,7 +444,7 @@ def _random_word_measure(rng: np.random.Generator) -> FiniteMeasure:
 
 
 def _suite_measure_cocycle(rc: ResolvedConfig) -> List[CheckRow]:
-    max_ratio = float(rc.params.get("max_ratio", 0.6))
+    max_ratio = rc.params["max_ratio"]
 
     def su_trial(k: int) -> CheckRow:
         rng = _rng(rc, 0, k)
@@ -397,8 +471,8 @@ def _suite_measure_cocycle(rc: ResolvedConfig) -> List[CheckRow]:
 
 
 def _suite_cpd_gns(rc: ResolvedConfig) -> List[CheckRow]:
-    sample_size = int(rc.params.get("sample_size", 6))
-    max_ratio = float(rc.params.get("max_ratio", 0.8))
+    sample_size = rc.params["sample_size"]
+    max_ratio = rc.params["max_ratio"]
 
     def trial(k: int) -> List[CheckRow]:
         rng = _rng(rc, 0, k)
@@ -422,11 +496,9 @@ def _suite_cpd_gns(rc: ResolvedConfig) -> List[CheckRow]:
 
 
 def _suite_h1(rc: ResolvedConfig) -> List[CheckRow]:
-    radii = tuple(int(r) for r in rc.params.get("radii", (6, 8, 10)))
-    if len(radii) < 2:
-        raise ConfigError(f"radii needs at least two radii to measure drift, got {list(radii)}")
-    floor = float(rc.params.get("floor", 0.1))
-    drift = float(rc.params.get("drift", 0.05))
+    radii = rc.params["radii"]
+    floor = rc.params["floor"]
+    drift = rc.params["drift"]
     ball = TreeBall(2, 5)
     graph = tree_ball_graph(ball)
     boundary = {i for i, v in enumerate(graph.vertices) if len(v) == ball.radius}
@@ -470,7 +542,7 @@ def _grid_point(track, rng: np.random.Generator, step: Fraction):
 
 
 def _suite_traintrack(rc: ResolvedConfig) -> List[CheckRow]:
-    step = Fraction(str(rc.params.get("step", "1/1000")))
+    step = rc.params["step"]
     rows: List[CheckRow] = []
     for stream, name in enumerate(sorted(CORPUS)):
         track = CORPUS[name]()
@@ -492,7 +564,7 @@ def _suite_traintrack(rc: ResolvedConfig) -> List[CheckRow]:
         try:
             track_from_json(data)
             caught = 0
-        except Exception:
+        except ConstraintViolation:
             caught = 1
         rows.append(
             check_row(f"validator-{name}", {"track": name, "slot": slot}, caught, 1 - caught, ZERO)
@@ -506,12 +578,9 @@ def _suite_traintrack(rc: ResolvedConfig) -> List[CheckRow]:
 
 
 def _suite_fock_mult(rc: ResolvedConfig) -> List[CheckRow]:
-    cases = rc.params.get("cases", ((1, 12), (2, 10)))
-    scale = float(rc.params.get("scale", 0.3))
+    scale = rc.params["scale"]
     rows: List[CheckRow] = []
-    for stream, (dimension, degree) in enumerate(cases):
-        dimension, degree = int(dimension), int(degree)
-
+    for stream, (dimension, degree) in enumerate(rc.params["cases"]):
         def trial(k: int, stream=stream, dimension=dimension, degree=degree) -> CheckRow:
             rng = _rng(rc, stream, k)
             t1 = haar_unitary(rng, dimension)
@@ -534,7 +603,7 @@ def _suite_fock_mult(rc: ResolvedConfig) -> List[CheckRow]:
 
 
 def _suite_triangle(rc: ResolvedConfig) -> List[CheckRow]:
-    size = int(rc.params.get("size", 40))
+    size = rc.params["size"]
 
     def trial(k: int) -> CheckRow:
         rng = _rng(rc, 0, k)
@@ -559,132 +628,132 @@ def _register(
     name: str,
     run: Callable[[ResolvedConfig], List[CheckRow]],
     description: str,
-    default_mode: str,
     default_trials: int,
     default_tolerance: float,
-    allowed_params: Tuple[str, ...],
+    *params: Param,
 ) -> None:
-    REGISTRY[name] = SuiteEntry(
-        name, run, description, default_mode, default_trials, default_tolerance, allowed_params
-    )
+    REGISTRY[name] = SuiteEntry(run, description, default_trials, default_tolerance, params)
 
 
+# Ranges cap every parameter that sets how much work a suite does, so no
+# run is unbounded; the others keep samplers inside their domains.
 _register(
     "tree-identities",
     _suite_tree_identities,
     "divergence-of-gradient equals the mean-value laplacian; gradient and divergence are adjoint",
-    "exact",
     100,
     1e-9,
-    ("n_values", "radius"),
+    Param("mode", str, "exact", choices=("exact", "float")),
+    Param("n_values", int, (2, 3, 5), 2, 5, at_least=1),
+    # None: radius 5, 4, 3 for n = 2, 3, 5 and 3 otherwise
+    Param("radius", int, None, 1, 5),
 )
 _register(
     "bergman",
     _suite_bergman,
     "truncated disc pairing series matches the closed-form gram and norm",
-    "float",
     50,
     1e-6,
-    ("degree", "max_ratio"),
+    Param("degree", int, 100, 1, 200),
+    Param("max_ratio", float, 0.8, 0.0, 0.95),
 )
 _register(
     "asymptotic",
     _suite_asymptotic,
     "norm-versus-displacement error of boosts is small at t=5 and decreasing",
-    "float",
     1,
     1e-3,
-    ("t_min", "t_max"),
+    Param("t_min", int, 5, 1, 50),
+    Param("t_max", int, 15, 1, 50),
 )
 _register(
     "cocycle-law",
     _suite_cocycle_law,
     "affine cocycle identity: exact on tree flows, truncated on the disc",
-    "float",
     100,
     1e-6,
-    ("word_length", "su_trials", "degree", "max_ratio"),
+    Param("word_length", int, 6, 1, 20),
+    Param("su_trials", int, 50, 0, 10000),
+    Param("degree", int, 80, 1, 200),
+    Param("max_ratio", float, 0.8, 0.0, 0.95),
 )
 _register(
     "translation-length",
     _suite_translation_length,
     "two-step length formula equals the brute-force window minimum; lengths are homogeneous",
-    "exact",
     100,
     1e-9,
-    ("radius", "word_length"),
+    Param("radius", int, 8, 1, 10),
+    Param("word_length", int, 6, 1, 20),
 )
 _register(
     "length-recovery",
     _suite_length_recovery,
     "power cocycle norms recover n times the length plus twice the axis distance",
-    "exact",
     20,
     1e-9,
-    ("n_max", "word_length"),
+    Param("n_max", int, 50, 2, 100),
+    Param("word_length", int, 6, 1, 20),
 )
 _register(
     "sp-tau",
     _suite_sp_tau,
     "metaplectic phase satisfies the scalar 2-cocycle identity with guards",
-    "float",
     1000,
     1e-9,
-    ("scale",),
+    Param("scale", float, 0.4, 0.0, 2.0),
 )
 _register(
     "measure-cocycle",
     _suite_measure_cocycle,
     "averaged-action scalar satisfies the convolution identity; vanishes for tree actions",
-    "float",
     100,
     1e-8,
-    ("max_ratio",),
+    Param("max_ratio", float, 0.6, 0.0, 0.95),
 )
 _register(
     "cpd-gns",
     _suite_cpd_gns,
     "squared displacement is conditionally negative; its GNS gram matches closed form",
-    "float",
     20,
     1e-9,
-    ("sample_size", "max_ratio"),
+    Param("sample_size", int, 6, 1, 50),
+    Param("max_ratio", float, 0.8, 0.0, 0.95),
 )
 _register(
     "h1",
     _suite_h1,
     "coboundary flows have zero harmonic part; the half-tree flow keeps norm across radii",
-    "float",
     10,
     1e-9,
-    ("radii", "floor", "drift"),
+    Param("radii", int, (6, 8, 10), 1, 10, at_least=2),
+    Param("floor", float, 0.1, 0.0, 1.0),
+    Param("drift", float, 0.05, 0.0, 1.0),
 )
 _register(
     "traintrack",
     _suite_traintrack,
     "strip-space metric agrees with the grid metric; validator rejects width perturbations",
-    "exact",
     20,
     5e-3,
-    ("step",),
+    Param("step", Fraction, Fraction(1, 1000), Fraction(1, 10000), Fraction(1)),
 )
 _register(
     "fock-mult",
     _suite_fock_mult,
     "truncated multiplication law for exponential operators on the half-degree block",
-    "float",
     20,
     1e-6,
-    ("cases", "scale"),
+    Param("cases", int, ((1, 12), (2, 10)), (1, 1), (MAX_DIMENSION, MAX_DEGREE), at_least=1),
+    Param("scale", float, 0.3, 0.0, 2.0),
 )
 _register(
     "triangle",
     _suite_triangle,
     "cyclic sums of geodesic flows cancel exactly in random metric trees",
-    "exact",
     100,
     1e-9,
-    ("size",),
+    Param("size", int, 40, 2, 1000),
 )
 
 
@@ -693,21 +762,25 @@ def suite_names() -> List[str]:
 
 
 def resolve_config(cfg: SuiteConfig) -> ResolvedConfig:
+    """Check ``cfg`` against its suite's declared parameters and fill in defaults."""
     entry = REGISTRY.get(cfg.suite)
     if entry is None:
         known = ", ".join(suite_names())
         raise ConfigError(f"unknown suite {cfg.suite!r}; known suites: {known}")
-    params = cfg.params_dict()
-    for key in params:
-        if key not in entry.allowed_params:
+    given = dict(cfg.params)
+    declared = {param.name: param for param in entry.params}
+    for key in given:
+        if key not in declared:
             raise ConfigError(f"unknown parameter {key!r} for suite {cfg.suite}")
     return ResolvedConfig(
         suite=cfg.suite,
-        mode=cfg.mode if cfg.mode is not None else entry.default_mode,
         seed=cfg.seed,
         trials=cfg.trials if cfg.trials is not None else entry.default_trials,
         tolerance=float(cfg.tolerance) if cfg.tolerance is not None else entry.default_tolerance,
-        params=params,
+        params={
+            name: param.resolve(cfg.suite, given[name]) if name in given else param.default
+            for name, param in declared.items()
+        },
     )
 
 

@@ -3,11 +3,14 @@
 import json
 import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from isoact.cli import main
+from isoact.cli import CONFIG_KEYS, main
 from isoact.errors import ConfigError, ConstraintViolation
 from isoact.immobile import CayleyWindow, indicator_from_json, subset_from_json
 from isoact.report import (
@@ -24,7 +27,7 @@ from isoact.report import (
     report_to_dict,
     unresolved_row,
 )
-from isoact.suites import resolve_config, run_suite, suite_names
+from isoact.suites import REGISTRY, resolve_config, run_suite, suite_names
 
 SUITES = [
     "asymptotic",
@@ -88,16 +91,17 @@ class TestRows:
 
 class TestSuiteConfig:
     def test_field_validation(self):
-        with pytest.raises(ConfigError, match="mode"):
-            SuiteConfig.make("bergman", mode="fuzzy")
+        with pytest.raises(ConfigError, match="'mode'.*'fuzzy'"):
+            resolve_config(SuiteConfig.make("tree-identities", params={"mode": "fuzzy"}))
         with pytest.raises(ConfigError, match="seed"):
             SuiteConfig.make("bergman", seed=-1)
         with pytest.raises(ConfigError, match="seed"):
             SuiteConfig.make("bergman", seed=2**64)
         with pytest.raises(ConfigError, match="trials"):
             SuiteConfig.make("bergman", trials=0)
-        with pytest.raises(ConfigError, match="tolerance"):
-            SuiteConfig.make("bergman", tolerance=0.0)
+        for tolerance in (0.0, float("inf"), float("nan"), "abc"):
+            with pytest.raises(ConfigError, match="tolerance"):
+                SuiteConfig.make("bergman", tolerance=tolerance)
 
     def test_params_are_sorted(self):
         cfg = SuiteConfig.make("bergman", params={"z": 1, "a": 2})
@@ -170,7 +174,72 @@ class TestResolution:
 
     def test_defaults_fill_in(self):
         rc = resolve_config(SuiteConfig.make("bergman"))
-        assert rc.mode == "float" and rc.trials == 50 and rc.tolerance == 1e-6
+        assert rc.trials == 50 and rc.tolerance == 1e-6
+        assert rc.params == {"degree": 100, "max_ratio": 0.8}
+        assert resolve_config(SuiteConfig.make("tree-identities")).params["mode"] == "exact"
+        cfg = SuiteConfig.make("tree-identities", params={"mode": "float"})
+        assert resolve_config(cfg).params["mode"] == "float"
+
+    @pytest.mark.parametrize(
+        "suite, key, value",
+        [
+            ("h1", "radii", "6,8"),
+            ("h1", "radii", [0, 1]),
+            ("h1", "radii", [6, 6]),
+            ("translation-length", "radius", "abc"),
+            ("translation-length", "radius", 30),
+            ("tree-identities", "n_values", "[2]"),
+            ("traintrack", "step", "0"),
+            ("traintrack", "step", "1/0"),
+            ("bergman", "degree", 2.5),
+            ("bergman", "max_ratio", True),
+            ("fock-mult", "cases", [[1, 15]]),
+        ],
+    )
+    def test_bad_param_names_suite_key_and_value(self, suite, key, value):
+        cfg = SuiteConfig.make(suite, params={key: value})
+        with pytest.raises(ConfigError) as caught:
+            resolve_config(cfg)
+        message = str(caught.value)
+        assert suite in message and repr(key) in message and repr(value) in message
+
+    def test_declared_defaults_lie_in_their_ranges(self):
+        for name, entry in REGISTRY.items():
+            for param in entry.params:
+                if param.default is not None:
+                    assert param.resolve(name, param.default) == param.default, (name, param)
+
+    def test_benchmark_configs_resolve(self):
+        paths = sorted(Path(__file__).resolve().parents[1].glob("perfbench/configs/*/*.json"))
+        assert paths
+        for path in paths:
+            data = json.loads(path.read_text())
+            assert set(data) <= set(CONFIG_KEYS), path
+            cfg = SuiteConfig.make(
+                data["suite"], trials=data.get("trials"), params=data.get("params")
+            )
+            assert resolve_config(cfg).suite == data["suite"], path
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(suite=st.sampled_from(SUITES), data=st.data())
+def test_any_params_resolve_or_raise_config_error(suite, data):
+    declared = [param.name for param in REGISTRY[suite].params]
+    keys = st.sampled_from(declared) | st.text(max_size=6)
+    params = data.draw(st.dictionaries(keys, JSON_VALUES, max_size=4))
+    try:
+        rc = resolve_config(SuiteConfig.make(suite, params=params))
+    except ConfigError:
+        return
+    assert sorted(rc.params) == sorted(declared)
+    assert len(digest_of(rc.as_dict())) == 16
 
 
 class TestDeterminism:
@@ -250,6 +319,36 @@ class TestRunCommand:
         result = self.invoke("run")
         assert result.exit_code != 0
         assert "--suite" in result.output
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"suite": "bergman",', "--config"),
+            ("[1, 2]", "--config"),
+            ('{"suite": "bergman", "seed": "abc"}', "seed"),
+            ('{"suite": "bergman", "tolerance": "abc"}', "tolerance"),
+            ('{"suite": "bergman", "mode": "float"}', "mode"),
+            ('{"suite": "bergman", "params": [1]}', "params"),
+            ('{"suite": "h1", "params": {"radii": "6,8"}}', "radii"),
+            ('{"suite": "traintrack", "params": {"step": "0"}}', "step"),
+        ],
+    )
+    def test_bad_config_file_is_one_error_line(self, tmp_path, text, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert_one_error_line(self.invoke("run", "--config", str(path)), key)
+
+    def test_infinite_tolerance_rejected(self):
+        result = self.invoke("run", "--suite", "bergman", "--trials", "1", "--tol", "inf")
+        assert_one_error_line(result, "tolerance")
+
+
+def assert_one_error_line(result, key):
+    """Exit status 1 with a single ``Error:`` line naming ``key``, no traceback."""
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 1
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error:") and key in lines[0], lines
 
 
 class TestModuleCommands:
@@ -344,6 +443,18 @@ class TestModuleCommands:
     def test_harmonic_poisson_exact(self):
         data = self.out("harmonic", "poisson", "--radius", "4", "--k", "1")
         assert data["residual"] == "0" and data["verdict"] == "pass"
+
+    @pytest.mark.parametrize(
+        "args, key",
+        [
+            (("tree", "dist", "--n", "2", "--radius", "3", "--u", "5", "--v", "[]"), "--u"),
+            (("rtree", "metric", "--track", "theta", "--points", '[[0,"x"]]'), "--points"),
+            (("rtree", "metric", "--track", "theta", "--points", '[["a","1/2"]]'), "--points"),
+            (("tree", "latdist", "--p", "2", "--m1", "[[1]]", "--m2", "[[1,0],[0,1]]"), "--m1"),
+        ],
+    )
+    def test_bad_probe_argument_is_one_error_line(self, args, key):
+        assert_one_error_line(self.invoke(*args), key)
 
     def test_bad_group_name(self):
         result = self.invoke("immobile", "set", "--group", "Z2")

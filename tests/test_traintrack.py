@@ -5,7 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from isoact import suites
 from isoact.errors import ConstraintViolation, InvalidCoordinate, PartitionOverflow
+from isoact.report import SuiteConfig
 from isoact.traintrack import (
     CORPUS,
     TrackMetric,
@@ -214,3 +216,12 @@ class TestJson:
     def test_malformed(self):
         with pytest.raises(ConstraintViolation):
             track_from_json({"vertices": ["v"]})
+
+
+def test_validator_crash_is_not_counted_as_a_rejection(monkeypatch):
+    def crash(data):
+        raise RuntimeError("validator bug")
+
+    monkeypatch.setattr(suites, "track_from_json", crash)
+    with pytest.raises(RuntimeError, match="validator bug"):
+        suites.run_suite(SuiteConfig.make("traintrack", trials=1))
