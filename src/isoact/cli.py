@@ -26,7 +26,7 @@ from .cocycles import (
     sigma_pair,
     step_cocycle_residual,
 )
-from .errors import ConfigError, IsoactError
+from .errors import BadGeneratorIndex, ConfigError, ConstraintViolation, IsoactError
 from .exact import QComplex
 from .groups import su_from_json, su_random, word_from_json
 from .harmonic import (
@@ -84,6 +84,15 @@ def parse_json(text: str, what: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON for {what}: {exc}") from exc
+
+
+def parse_option(text: str, what: str, decode):
+    """``decode`` applied to the JSON of option ``what``; its rejection names the option."""
+    data = parse_json(text, what)
+    try:
+        return decode(data)
+    except (BadGeneratorIndex, ConstraintViolation) as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
 
 
 def parse_address(text: str, what: str):
@@ -277,7 +286,7 @@ def tree_latdist(p, m1, m2):
 @guarded
 def tree_deriv(n, radius, rank, word, end):
     """Boundary derivative of a free-word automorphism at an end."""
-    g = word_from_json(parse_json(word, "--word"), rank)
+    g = parse_option(word, "--word", lambda data: word_from_json(data, rank))
     auto = freeword_automorphism(g, radius)
     value = boundary_derivative(auto, parse_address(end, "--end"))
     emit({"derivative": str(value)})
@@ -414,7 +423,7 @@ def rtree_metric(track, points):
 @guarded
 def rtree_length(rank, word):
     """Translation length and cyclic-reduction conjugator of a word."""
-    g = word_from_json(parse_json(word, "--word"), rank)
+    g = parse_option(word, "--word", lambda data: word_from_json(data, rank))
     core, conj = g.cyclic_reduce()
     emit(
         {
@@ -432,7 +441,7 @@ def rtree_length(rank, word):
 @guarded
 def rtree_gamma(rank, alpha, word):
     """Collapsed-tree cocycle of a word, edge by edge."""
-    g = word_from_json(parse_json(word, "--word"), rank)
+    g = parse_option(word, "--word", lambda data: word_from_json(data, rank))
     vector = free_cayley_gamma(g, alpha)
     emit(
         {
@@ -550,15 +559,24 @@ def cocycle_lattice(first, second):
     """Exact symplectic form of two formal lattice combinations."""
 
     def combo(text, what):
-        out = []
-        for alpha, vec in parse_json(text, what):
-            out.append(
-                (
-                    Fraction(str(alpha)),
-                    tuple(QComplex(Fraction(str(re)), Fraction(str(im))) for re, im in vec),
-                )
+        entries = parse_json(text, what)
+        if not isinstance(entries, list) or not all(
+            isinstance(e, list)
+            and len(e) == 2
+            and isinstance(e[1], list)
+            and all(isinstance(p, list) and len(p) == 2 for p in e[1])
+            for e in entries
+        ):
+            raise ConfigError(
+                f"{what} must be a JSON list of [alpha, [[re, im], ...]] pairs, got {text!r}"
             )
-        return out
+        return [
+            (
+                parse_rational(alpha, what),
+                tuple(QComplex(parse_rational(re, what), parse_rational(im, what)) for re, im in vec),
+            )
+            for alpha, vec in entries
+        ]
 
     value = lattice_sigma(combo(first, "--first"), combo(second, "--second"))
     emit({"sigma": str(value)})
@@ -608,7 +626,7 @@ def immobile_set(group, radius, descriptor):
     """Boundary edge count of a described vertex set in one window."""
     rank = parse_group(group)
     window = CayleyWindow(rank, radius)
-    subset = subset_from_json(window, parse_json(descriptor, "--set"))
+    subset = parse_option(descriptor, "--set", lambda data: subset_from_json(window, data))
     emit(
         {
             "group": group,
@@ -629,7 +647,7 @@ def immobile_func(group, schedule, descriptor):
     """Boundary-energy trend of an indicator over a radius schedule."""
     rank = parse_group(group)
     radii = parse_schedule(schedule)
-    indicator = indicator_from_json(parse_json(descriptor, "--set"), rank)
+    indicator = parse_option(descriptor, "--set", lambda data: indicator_from_json(data, rank))
     report = immobile_function_test(rank, indicator, radii)
     emit(
         {
@@ -652,8 +670,8 @@ def immobile_cocycle(group, radius, word, q, descriptor):
     """Support of the difference function of an indicator under one word."""
     rank = parse_group(group)
     window = CayleyWindow(rank, radius)
-    indicator = indicator_from_json(parse_json(descriptor, "--set"), rank)
-    g = word_from_json(parse_json(word, "--word"), rank)
+    indicator = parse_option(descriptor, "--set", lambda data: indicator_from_json(data, rank))
+    g = parse_option(word, "--word", lambda data: word_from_json(data, rank))
     diff = gamma_difference(window, indicator, g)
     result = {
         "group": group,
@@ -664,7 +682,7 @@ def immobile_cocycle(group, radius, word, q, descriptor):
         ],
     }
     if q is not None:
-        qw = word_from_json(parse_json(q, "--q"), rank)
+        qw = parse_option(q, "--q", lambda data: word_from_json(data, rank))
         result["chain_residual"] = chain_identity_residual(window, indicator, g, qw)
     emit(result)
 

@@ -19,16 +19,16 @@ an honest projective multiplication whose affine part composes in the
 pullback order (second transform applied first), matching the
 contravariant function actions used elsewhere in this package.
 
-Everything here works with explicit coefficient dictionaries truncated
-at a total degree, so dimensions and degrees are capped hard; the point
-is verifying identities at desk scale, not simulating large systems.
+Everything here works with dense matrices on the monomials of total
+degree at most a cap, so dimensions and degrees are capped hard; the
+point is verifying identities at desk scale, not simulating large systems.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import product as iter_product
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -39,7 +39,6 @@ MAX_DEGREE = 14
 UNITARY_TOL = 1e-9
 
 MultiIndex = Tuple[int, ...]
-Poly = Dict[MultiIndex, complex]
 
 
 def check_scale(dimension: int, degree: int) -> None:
@@ -72,41 +71,6 @@ def factorial_weight(idx: MultiIndex) -> float:
     return out
 
 
-def poly_mul(p: Poly, q: Poly, degree: int) -> Poly:
-    out: Poly = {}
-    for a, ca in p.items():
-        deg_a = sum(a)
-        for b, cb in q.items():
-            if deg_a + sum(b) > degree:
-                continue
-            key = tuple(x + y for x, y in zip(a, b))
-            out[key] = out.get(key, 0.0) + ca * cb
-    return out
-
-
-def _linear_form(row: Sequence[complex], constant: complex, dimension: int) -> Poly:
-    poly: Poly = {}
-    zero = (0,) * dimension
-    if constant != 0:
-        poly[zero] = complex(constant)
-    for j, coeff in enumerate(row):
-        if coeff != 0:
-            key = tuple(1 if i == j else 0 for i in range(dimension))
-            poly[key] = poly.get(key, 0.0) + complex(coeff)
-    return poly
-
-
-def _exp_series(weights: Sequence[complex], dimension: int, degree: int) -> Poly:
-    """Coefficients of ``exp(sum w_i z_i)`` up to total degree."""
-    poly: Poly = {}
-    for idx in multi_indices(dimension, degree):
-        coeff = 1.0 + 0.0j
-        for w, k in zip(weights, idx):
-            coeff *= w**k / math.factorial(k)
-        poly[idx] = coeff
-    return poly
-
-
 def require_unitary(mat: np.ndarray) -> None:
     d = mat.shape[0]
     defect = float(np.abs(mat.conj().T @ mat - np.eye(d)).max())
@@ -136,34 +100,34 @@ def exp_matrix(t: np.ndarray, gamma: np.ndarray, degree: int) -> np.ndarray:
 
     indices = multi_indices(dimension, degree)
     position = {idx: i for i, idx in enumerate(indices)}
-    # exp(-<z, T^{-1} gamma>) as a polynomial in z
-    pullback_shift = t.conj().T @ gamma
-    series = _exp_series([-complex(w).conjugate() for w in pullback_shift], dimension, degree)
-    scalar = math.exp(-0.5 * float(np.sum(np.abs(gamma) ** 2)))
-
-    # powers of each linear form (T z + gamma)_i, reused across columns
-    power_table: List[List[Poly]] = []
-    unit: Poly = {(0,) * dimension: 1.0 + 0.0j}
-    for i in range(dimension):
-        form = _linear_form(t[i, :], gamma[i], dimension)
-        powers = [unit]
-        for _ in range(degree):
-            powers.append(poly_mul(powers[-1], form, degree))
-        power_table.append(powers)
-
     size = len(indices)
-    mat = np.zeros((size, size), dtype=complex)
-    for col, alpha in enumerate(indices):
-        poly = unit
-        for i, a_i in enumerate(alpha):
-            if a_i:
-                poly = poly_mul(poly, power_table[i][a_i], degree)
-        poly = poly_mul(poly, series, degree)
-        root_alpha = math.sqrt(factorial_weight(alpha))
-        for beta, coeff in poly.items():
-            row = position[beta]
-            mat[row, col] = coeff * scalar * math.sqrt(factorial_weight(beta)) / root_alpha
-    return mat
+    # truncated multiplication by z_j; it only raises degree, so products
+    # of these matrices are exact on every retained row
+    times_z = np.zeros((dimension, size, size))
+    for col, beta in enumerate(indices):
+        for j in range(dimension):
+            row = position.get(beta[:j] + (beta[j] + 1,) + beta[j + 1 :])
+            if row is not None:
+                times_z[j, row, col] = 1.0
+    # multiplication by the linear forms (T z + gamma)_i
+    forms = gamma[:, None, None] * np.eye(size) + np.einsum("ij,jab->iab", t, times_z)
+
+    # exp(-<z, T^{-1} gamma>) = exp(sum_k w_k z_k) as a coefficient column
+    w = -(t.conj().T @ gamma).conj()
+    mono = np.empty((size, size), dtype=complex)
+    mono[:, 0] = [
+        math.prod(w[k] ** b / math.factorial(b) for k, b in enumerate(beta)) for beta in indices
+    ]
+    # the forms commute, so column alpha is (T z + gamma)^alpha times the
+    # series, one form applied to the column of alpha - e_i
+    for col, alpha in enumerate(indices[1:], start=1):
+        i = next(k for k, a in enumerate(alpha) if a)
+        parent = position[alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]]
+        mono[:, col] = forms[i] @ mono[:, parent]
+
+    scalar = math.exp(-0.5 * float(np.sum(np.abs(gamma) ** 2)))
+    root = np.sqrt([factorial_weight(idx) for idx in indices])
+    return scalar * mono * (root[:, None] / root[None, :])
 
 
 def composition_phase(t2: np.ndarray, gamma1: np.ndarray, gamma2: np.ndarray) -> complex:

@@ -103,9 +103,6 @@ class SuMatrix:
     def trace(self) -> float:
         return 2.0 * _to_complex(self.a).real
 
-    def to_float(self) -> "SuMatrix":
-        return SuMatrix(_to_complex(self.a), _to_complex(self.b))
-
     def is_identity(self) -> bool:
         if self.exact:
             return self.a == QComplex(1, 0) and self.b.is_zero()
@@ -379,7 +376,10 @@ def free_reduce(letters: Iterable[int], rank: int) -> FreeWord:
 
 
 def word_from_json(data: Sequence[int], rank: int) -> FreeWord:
-    return free_reduce(tuple(int(x) for x in data), rank)
+    """The reduced word of a JSON list of integer letters."""
+    if not isinstance(data, list) or not all(type(x) is int for x in data):
+        raise ConstraintViolation(f"a word must be a JSON list of integer letters, got {data!r}")
+    return free_reduce(data, rank)
 
 
 def word_to_json(w: FreeWord) -> list:

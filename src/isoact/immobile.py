@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .errors import ConstraintViolation, VertexNotFound, WindowTooSmall
-from .groups import FreeWord, free_reduce
+from .groups import FreeWord, free_reduce, word_from_json
 from .harmonic import OrientedGraph
 from .treeball import TreeBall, word_to_address
 
@@ -140,9 +140,11 @@ def parity_indicator() -> Callable[[FreeWord], int]:
 
 def indicator_from_json(data: dict, rank: int) -> Callable[[FreeWord], int]:
     """Parse a set descriptor: ``{"kind":"suffix","v":[1]}`` or ``{"kind":"parity"}``."""
+    if not isinstance(data, dict):
+        raise ConstraintViolation(f"a set descriptor must be a JSON object, got {data!r}")
     kind = data.get("kind")
     if kind == "suffix":
-        return suffix_indicator(FreeWord(tuple(int(x) for x in data.get("v", ())), rank))
+        return suffix_indicator(word_from_json(data.get("v", []), rank))
     if kind == "parity":
         return parity_indicator()
     raise ConstraintViolation(f"unknown set descriptor kind {kind!r}")

@@ -29,6 +29,9 @@ PASS = "pass"
 FAIL = "fail"
 UNRESOLVED = "unresolved"
 
+# cap on every trial count, so no run asks for unbounded work
+MAX_TRIALS = 10000
+
 
 def format_number(x) -> str:
     """Stable text form: rationals exactly, floats shortest round-trip."""
@@ -108,10 +111,11 @@ class SuiteConfig:
     """What to run: suite name, seeding, tolerance, and suite parameters.
 
     ``trials`` and ``tolerance`` may be left unset, in which case the
-    suite's registered defaults apply; a set tolerance is a positive finite
-    number.  ``params`` carries the suite's own keys; when the suite runs
-    they are checked against its declared table (type and range), unknown
-    keys are rejected, and missing ones take their declared defaults.
+    suite's registered defaults apply; set trials lie in ``1..MAX_TRIALS``
+    and a set tolerance is a positive finite number.  ``params`` carries
+    the suite's own keys; when the suite runs they are checked against its
+    declared table (type and range), unknown keys are rejected, and missing
+    ones take their declared defaults.
     """
 
     suite: str
@@ -125,8 +129,10 @@ class SuiteConfig:
             raise ConfigError(f"suite must be a suite name, got {self.suite!r}")
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
-        if self.trials is not None and (not isinstance(self.trials, int) or self.trials < 1):
-            raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
+        if self.trials is not None and (
+            not isinstance(self.trials, int) or not 1 <= self.trials <= MAX_TRIALS
+        ):
+            raise ConfigError(f"trials must be an integer in 1..{MAX_TRIALS}, got {self.trials!r}")
         if self.tolerance is not None and not (
             isinstance(self.tolerance, (int, float))
             and not isinstance(self.tolerance, bool)

@@ -281,10 +281,6 @@ class LatticeBall:
             frontier = nxt
         self.reps = reps
 
-    def matrix_of(self, v: Address) -> Matrix2:
-        self.ball.require(v)
-        return self.reps[v]
-
     def address_of(self, m) -> Address:
         m = _mat(m)
         for addr, rep in self.reps.items():

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import eval_genlaguerre
 
 from isoact import fock as fo
 from isoact.errors import PreconditionViolation, TruncationOverflow
@@ -55,6 +56,29 @@ def test_pure_translation_vacuum_column():
     for k in range(10):
         expected = scalar * (-gamma.conjugate()) ** k / math.sqrt(math.factorial(k))
         assert abs(mat[k, 0] - expected) < 1e-14
+
+
+@pytest.mark.parametrize("gamma", [0.3 - 0.2j, -0.8 + 0.5j])
+def test_pure_translation_matches_displacement_closed_form(gamma):
+    # Exp(I, gamma) is the displacement by alpha = -conj(gamma), whose
+    # number-basis elements are Laguerre polynomials (Cahill and Glauber,
+    # Phys. Rev. 177, 1969); retained entries of the truncation are exact
+    degree = 12
+    mat = fo.exp_matrix(np.eye(1), np.array([gamma]), degree)
+    alpha = -gamma.conjugate()
+    x = abs(alpha) ** 2
+    expected = np.empty_like(mat)
+    for m in range(degree + 1):
+        for n in range(degree + 1):
+            low, high = min(m, n), max(m, n)
+            shift = alpha ** (m - n) if m >= n else (-alpha.conjugate()) ** (n - m)
+            expected[m, n] = (
+                math.exp(-x / 2)
+                * math.sqrt(math.factorial(low) / math.factorial(high))
+                * shift
+                * eval_genlaguerre(low, high - low, x)
+            )
+    assert np.abs(mat - expected).max() < 1e-13
 
 
 def test_vacuum_norm_is_one():

@@ -14,6 +14,7 @@ from isoact.cli import CONFIG_KEYS, main
 from isoact.errors import ConfigError, ConstraintViolation
 from isoact.immobile import CayleyWindow, indicator_from_json, subset_from_json
 from isoact.report import (
+    MAX_TRIALS,
     SuiteConfig,
     check_row,
     digest_of,
@@ -97,8 +98,9 @@ class TestSuiteConfig:
             SuiteConfig.make("bergman", seed=-1)
         with pytest.raises(ConfigError, match="seed"):
             SuiteConfig.make("bergman", seed=2**64)
-        with pytest.raises(ConfigError, match="trials"):
-            SuiteConfig.make("bergman", trials=0)
+        for trials in (0, MAX_TRIALS + 1):
+            with pytest.raises(ConfigError, match="trials"):
+                SuiteConfig.make("bergman", trials=trials)
         for tolerance in (0.0, float("inf"), float("nan"), "abc"):
             with pytest.raises(ConfigError, match="tolerance"):
                 SuiteConfig.make("bergman", tolerance=tolerance)
@@ -166,6 +168,10 @@ class TestResolution:
         cfg = SuiteConfig.make("bergman", params={"wavelength": 3})
         with pytest.raises(ConfigError, match="'wavelength'.*bergman"):
             resolve_config(cfg)
+
+    def test_h1_runs_every_trial(self):
+        report = run_suite(SuiteConfig.make("h1", trials=12, params={"radii": [2, 3]}))
+        assert sum(row.id.startswith("coboundary-") for row in report.rows) == 12
 
     def test_h1_single_radius_names_key(self):
         cfg = SuiteConfig.make("h1", params={"radii": [6]})
@@ -451,6 +457,9 @@ class TestModuleCommands:
             (("rtree", "metric", "--track", "theta", "--points", '[[0,"x"]]'), "--points"),
             (("rtree", "metric", "--track", "theta", "--points", '[["a","1/2"]]'), "--points"),
             (("tree", "latdist", "--p", "2", "--m1", "[[1]]", "--m2", "[[1,0],[0,1]]"), "--m1"),
+            (("cocycle", "lattice", "--first", "[1]", "--second", "[]"), "--first"),
+            (("immobile", "set", "--set", "[1]"), "--set"),
+            (("rtree", "length", "--word", '{"a":1}'), "--word"),
         ],
     )
     def test_bad_probe_argument_is_one_error_line(self, args, key):
