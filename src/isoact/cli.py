@@ -48,7 +48,7 @@ from .immobile import (
     indicator_from_json,
     subset_from_json,
 )
-from .report import SuiteConfig, emit_report, render_report
+from .report import MAX_TRIALS, SuiteConfig, emit_report, render_report
 from .rtree import free_cayley_gamma, translation_length
 from .suites import run_suite, suite_names
 from .traintrack import CORPUS, TrackMetric, track_from_json, track_to_json
@@ -62,6 +62,7 @@ from .treeball import (
 )
 
 CONFIG_KEYS = ("suite", "seed", "trials", "tolerance", "params")
+MAX_STEP_LEVEL = 10
 
 
 def guarded(fn):
@@ -583,8 +584,8 @@ def cocycle_lattice(first, second):
 
 
 @cocycle.command(name="bgroup")
-@click.option("--level", type=int, default=3, show_default=True)
-@click.option("--trials", type=int, default=25, show_default=True)
+@click.option("--level", type=click.IntRange(0, MAX_STEP_LEVEL), default=3, show_default=True)
+@click.option("--trials", type=click.IntRange(1, MAX_TRIALS), default=25, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--tol", type=float, default=1e-9, show_default=True)
 @guarded

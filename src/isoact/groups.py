@@ -309,6 +309,12 @@ class FreeWord:
     Letters are nonzero integers: ``k`` stands for the k-th generator and
     ``-k`` for its inverse.  The tuple is always fully reduced.
 
+    The constructor checks nothing.  Raw input goes through
+    :func:`free_reduce` or :func:`word_from_json`, which validate and
+    reduce it; direct ``FreeWord(...)`` construction must pass a reduced
+    tuple of letters in ``1..rank`` in modulus.  Products rely on this:
+    two reduced words cancel only at their junction.
+
     Examples
     --------
     >>> w = free_reduce([1, 2, -2, 1], rank=2)
@@ -327,7 +333,11 @@ class FreeWord:
     def __mul__(self, other: "FreeWord") -> "FreeWord":
         if self.rank != other.rank:
             raise GroupMismatch("free words over different ranks")
-        return free_reduce(self.letters + other.letters, self.rank)
+        a, b = self.letters, other.letters
+        i, n = 0, min(len(a), len(b))
+        while i < n and a[-1 - i] == -b[i]:
+            i += 1
+        return FreeWord(a[: len(a) - i] + b[i:], self.rank)
 
     def inverse(self) -> "FreeWord":
         return FreeWord(tuple(-l for l in reversed(self.letters)), self.rank)

@@ -23,12 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
-from .errors import ConstraintViolation, VertexNotFound, WindowTooSmall
+from .errors import ConstraintViolation, VertexNotFound
 from .groups import FreeWord, free_reduce, word_from_json
 from .harmonic import OrientedGraph
-from .treeball import TreeBall, word_to_address
+from .treeball import TreeBall, require_ball_size, word_to_address
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,7 @@ class CayleyWindow:
             raise ConstraintViolation(f"rank must be at least 2, got {self.rank}")
         if self.radius < 1:
             raise ConstraintViolation(f"radius must be at least 1, got {self.radius}")
+        require_ball_size(2 * self.rank - 1, self.radius)
 
     def vertices(self) -> List[FreeWord]:
         """All words up to the radius, breadth first, empty word first."""

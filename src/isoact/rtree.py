@@ -20,12 +20,12 @@ cocycle of that action is the same flow with the collapsed edges dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ConstraintViolation, WindowTooSmall
-from .groups import FreeWord, free_reduce
+from .groups import FreeWord
 
 EdgeKey = Tuple[Tuple[int, ...], int]
 

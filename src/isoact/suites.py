@@ -324,32 +324,49 @@ def _suite_cocycle_law(rc: ResolvedConfig) -> List[CheckRow]:
 # ---------------------------------------------------------------------------
 
 
-def _window_words(rank: int, radius: int) -> List[FreeWord]:
-    words = [FreeWord((), rank)]
-    frontier = [FreeWord((), rank)]
-    for _ in range(radius):
-        nxt = []
-        for x in frontier:
-            last = x.letters[-1] if x.letters else 0
-            for letter in range(-rank, rank + 1):
-                if letter == 0 or letter == -last:
-                    continue
-                nxt.append(FreeWord(x.letters + (letter,), rank))
-        words.extend(nxt)
-        frontier = nxt
-    return words
+def _conjugate_lengths(g: FreeWord, radius: int) -> List[int]:
+    """``|x^-1 g x|`` for every reduced word ``x`` with ``|x| <= radius``.
+
+    A depth-first walk over the trie of ``x``, one entry per window word.
+    Appending a letter ``a`` to ``x`` turns ``h = x^-1 g x`` into
+    ``a^-1 h a``: the empty word stays empty, and otherwise each end of
+    ``h`` loses its letter when it cancels against ``a`` and gains one
+    when it does not.  So a length needs only the end letters of ``h``,
+    and ``h`` itself is carried only to prefixes that still have children.
+    This is brute force over the window, independent of cyclic reduction.
+    """
+    alphabet = [k for j in range(1, g.rank + 1) for k in (j, -j)]
+    lengths = [len(g)]
+    # (h, last letter of x, letters x may still grow by)
+    stack = [(g.letters, 0, radius)] if radius > 0 else []
+    while stack:
+        h, last, left = stack.pop()
+        for a in alphabet:
+            if a == -last:
+                continue
+            if not h:
+                lengths.append(0)
+                if left > 1:
+                    stack.append((h, a, left - 1))
+                continue
+            cancel_first = h[0] == a
+            cancel_last = h[-1] == -a
+            lengths.append(len(h) + (-1 if cancel_first else 1) + (-1 if cancel_last else 1))
+            if left > 1:
+                child = h[1:] if cancel_first else (-a,) + h
+                stack.append((child[:-1] if cancel_last else child + (a,), a, left - 1))
+    return lengths
 
 
 def _suite_translation_length(rc: ResolvedConfig) -> List[CheckRow]:
     radius = rc.params["radius"]
     word_length = rc.params["word_length"]
-    window = _window_words(2, radius)
 
     def trial(k: int) -> CheckRow:
         rng = _rng(rc, 0, k)
         g = random_word(rng, 2, int(rng.integers(1, word_length + 1)))
         ell = translation_length(g)
-        brute = min(len(x.inverse() * g * x) for x in window)
+        brute = min(_conjugate_lengths(g, radius))
         power_defect = max(abs(translation_length(g**j) - j * ell) for j in range(1, 6))
         residual = Fraction(abs(brute - ell) + power_defect)
         inputs = {"seed": rc.seed, "trial": k, "g": list(g.letters), "radius": radius}

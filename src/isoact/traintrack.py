@@ -21,7 +21,7 @@ within-chart steps yields the true quotient metric as a ``Fraction``.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 

@@ -29,7 +29,7 @@ from .errors import (
     Unresolvable,
     VertexNotFound,
 )
-from .groups import FreeWord, PAdicScalar, free_reduce, padic_valuation
+from .groups import FreeWord, PAdicScalar, padic_valuation
 
 Address = Tuple[int, ...]
 
@@ -52,6 +52,32 @@ def tree_distance(u: Address, v: Address) -> int:
     return len(u) + len(v) - 2 * common_prefix_length(u, v)
 
 
+MAX_BALL_VERTICES = 10**6
+
+
+def ball_vertex_count(n: int, radius: int) -> int:
+    """Vertices within ``radius`` of a vertex in the ``(n+1)``-homogeneous tree."""
+    return 1 + (n + 1) * (n**radius - 1) // (n - 1)
+
+
+def require_ball_size(n: int, radius: int) -> None:
+    """Refuse a ball of more than ``MAX_BALL_VERTICES`` before it is built.
+
+    The count is formed exactly only while it has at most a few hundred
+    digits; past that it is above ``2**512`` since ``n >= 2``.
+    """
+    if radius * n.bit_length() > 1024:
+        count = "more than 10**150"
+    else:
+        count = ball_vertex_count(n, radius)
+        if count <= MAX_BALL_VERTICES:
+            return
+    raise ConstraintViolation(
+        f"radius {radius} gives {count} vertices in the {n + 1}-regular tree; "
+        f"the cap is {MAX_BALL_VERTICES}"
+    )
+
+
 @dataclass(frozen=True)
 class TreeBall:
     """Ball of given radius in the ``(n+1)``-homogeneous tree."""
@@ -64,6 +90,7 @@ class TreeBall:
             raise ConstraintViolation("homogeneity parameter n must be at least 2")
         if self.radius < 1:
             raise ConstraintViolation("radius must be at least 1")
+        require_ball_size(self.n, self.radius)
 
     def vertices(self) -> List[Address]:
         out: List[Address] = [()]
@@ -116,7 +143,7 @@ class TreeBall:
         return [v for v in self.vertices() if len(v) == self.radius]
 
     def vertex_count(self) -> int:
-        return 1 + (self.n + 1) * sum(self.n**k for k in range(self.radius))
+        return ball_vertex_count(self.n, self.radius)
 
     def distance(self, u: Address, v: Address) -> int:
         self.require(u)

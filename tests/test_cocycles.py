@@ -16,6 +16,7 @@ from isoact.groups import (
     FreeWord,
     SpMatrix,
     delta_measure,
+    free_reduce,
     measure_convolve,
     random_rational_weights,
     sp_boost,
@@ -288,7 +289,7 @@ def word(*letters):
 
 def random_word_step(rng, level):
     def factory(r):
-        return FreeWord(tuple(int(x) for x in r.choice([1, -1, 2, -2], size=3)), 2)
+        return free_reduce([int(x) for x in r.choice([1, -1, 2, -2], size=3)], 2)
 
     return co.random_step_automorphism(rng, level, factory)
 

@@ -187,6 +187,21 @@ class TestFreeWord:
         b = free_reduce(v, 2)
         assert (a * b).inverse() == b.inverse() * a.inverse()
 
+    @given(words, words, st.integers(min_value=0, max_value=12))
+    def test_product_matches_full_reduction(self, u, v, k):
+        a = free_reduce(u, 2)
+        # b opens by undoing up to k letters of a, so the junction cancels deeply
+        undo = [-x for x in reversed(a.letters[max(0, len(a) - k) :])]
+        b = free_reduce(undo + v, 2)
+        assert a * b == free_reduce(a.letters + b.letters, 2)
+        assert b * a == free_reduce(b.letters + a.letters, 2)
+        assert a * a.inverse() == free_reduce(a.letters + a.inverse().letters, 2)
+        assert (a * a.inverse()).is_identity() and (a.inverse() * a).is_identity()
+
+    def test_product_rank_mismatch(self):
+        with pytest.raises(GroupMismatch):
+            free_reduce([1], 2) * free_reduce([1], 3)
+
     def test_powers(self):
         w = free_reduce([1, 2], 2)
         assert (w**3).letters == (1, 2, 1, 2, 1, 2)

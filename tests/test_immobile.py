@@ -36,6 +36,14 @@ def test_window_counts():
     assert len(w3.vertices()) == 1 + 6 + 30
 
 
+def test_window_size_cap():
+    assert CayleyWindow(2, 11).radius == 11
+    with pytest.raises(ConstraintViolation, match="radius 12 gives 1062881 vertices"):
+        CayleyWindow(2, 12)
+    with pytest.raises(ConstraintViolation, match="radius 1 gives 2000001 vertices"):
+        CayleyWindow(10**6, 1)
+
+
 def test_window_degrees():
     w = CayleyWindow(2, 3)
     degree = Counter()

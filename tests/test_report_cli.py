@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -460,10 +461,41 @@ class TestModuleCommands:
             (("cocycle", "lattice", "--first", "[1]", "--second", "[]"), "--first"),
             (("immobile", "set", "--set", "[1]"), "--set"),
             (("rtree", "length", "--word", '{"a":1}'), "--word"),
+            (("rtree", "length", "--word", "[3]"), "--word"),
         ],
     )
     def test_bad_probe_argument_is_one_error_line(self, args, key):
         assert_one_error_line(self.invoke(*args), key)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("immobile", "set", "--radius", "40"),
+            ("tree", "dist", "--n", "3", "--radius", "40", "--u", "[]", "--v", "[]"),
+            ("immobile", "func", "--schedule", "4,30"),
+            ("harmonic", "poisson", "--radius", "25"),
+        ],
+    )
+    def test_oversized_ball_refused_before_work(self, args):
+        start = time.perf_counter()
+        result = self.invoke(*args)
+        assert time.perf_counter() - start < 5.0
+        assert_one_error_line(result, "radius")
+
+    @pytest.mark.parametrize(
+        "args, key",
+        [
+            (("cocycle", "bgroup", "--level", "60"), "--level"),
+            (("cocycle", "bgroup", "--trials", str(MAX_TRIALS + 1)), "--trials"),
+        ],
+    )
+    def test_bgroup_sizes_bounded(self, args, key):
+        start = time.perf_counter()
+        result = self.invoke(*args)
+        assert time.perf_counter() - start < 5.0
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        errors = [line for line in result.output.splitlines() if line.startswith("Error")]
+        assert errors == [result.output.strip().splitlines()[-1]] and key in errors[0]
 
     def test_bad_group_name(self):
         result = self.invoke("immobile", "set", "--group", "Z2")

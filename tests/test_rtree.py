@@ -1,5 +1,6 @@
 """Cayley-tree geometry: lengths, axes, flows, cocycle identities."""
 
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,7 @@ from isoact.rtree import (
     unit_flow,
     word_distance,
 )
+from isoact.suites import _conjugate_lengths
 
 
 def brute_translation_length(g: FreeWord, search_radius: int = 8) -> int:
@@ -88,6 +90,77 @@ class TestTranslationLength:
             g = random_word(rng, 2, int(rng.integers(1, 6)))
             x = random_word(rng, 2, int(rng.integers(0, 5)))
             assert translation_length(x * g * x.inverse()) == translation_length(g)
+
+
+def _window_words(rank: int, radius: int) -> list:
+    """Every reduced word of length at most ``radius``, breadth first."""
+    words = [FreeWord((), rank)]
+    frontier = [FreeWord((), rank)]
+    for _ in range(radius):
+        nxt = []
+        for x in frontier:
+            last = x.letters[-1] if x.letters else 0
+            for letter in range(-rank, rank + 1):
+                if letter == 0 or letter == -last:
+                    continue
+                nxt.append(FreeWord(x.letters + (letter,), rank))
+        words.extend(nxt)
+        frontier = nxt
+    return words
+
+
+def brute_conjugate_lengths(g: FreeWord, radius: int) -> list:
+    """``|x^-1 g x|`` over the window, each conjugate fully reduced from raw letters."""
+    return [
+        len(free_reduce(x.inverse().letters + g.letters + x.letters, g.rank))
+        for x in _window_words(g.rank, radius)
+    ]
+
+
+class TestWindowMinimum:
+    """The trie walk behind the translation-length suite's window minimum."""
+
+    def test_matches_brute_force_window(self):
+        rng = np.random.default_rng(35)
+        for radius in range(1, 6):
+            for _ in range(200):
+                g = random_word(rng, 2, int(rng.integers(0, 9)))
+                lengths = _conjugate_lengths(g, radius)
+                brute = brute_conjugate_lengths(g, radius)
+                assert Counter(lengths) == Counter(brute)
+                assert min(lengths) == min(brute)
+
+    def test_empty_word(self):
+        for radius in range(1, 6):
+            lengths = _conjugate_lengths(FreeWord((), 2), radius)
+            assert lengths == [0] * (1 + 2 * (3**radius - 1))
+
+    @pytest.mark.parametrize("radius", [1, 4, 8])
+    def test_visits_every_window_word(self, radius):
+        g = free_reduce([1, 2, -1, 2], 2)
+        assert len(_conjugate_lengths(g, radius)) == 1 + 2 * (3**radius - 1)
+        assert len(_window_words(2, radius)) == 1 + 2 * (3**radius - 1)
+
+    def test_rank_three_window(self):
+        g = free_reduce([3, 1, -2, -3], 3)
+        assert Counter(_conjugate_lengths(g, 3)) == Counter(brute_conjugate_lengths(g, 3))
+
+    def test_window_too_small_for_the_core(self):
+        # a^4 b a^-4 has translation length 1; radius 2 only strips two a's
+        g = free_reduce([1, 1, 1, 1, 2, -1, -1, -1, -1], 2)
+        assert translation_length(g) == 1
+        assert min(_conjugate_lengths(g, 2)) == 5
+        assert min(_conjugate_lengths(g, 4)) == 1
+
+    def test_independent_of_products_and_cyclic_reduction(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the window walk must not use this")
+
+        monkeypatch.setattr(FreeWord, "__mul__", forbidden)
+        monkeypatch.setattr(FreeWord, "cyclic_reduce", forbidden)
+        monkeypatch.setattr("isoact.suites.translation_length", forbidden)
+        g = free_reduce([2, 1, 1, -2], 2)
+        assert min(_conjugate_lengths(g, 3)) == 2
 
 
 class TestAxis:

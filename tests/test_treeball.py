@@ -8,6 +8,7 @@ import pytest
 from isoact.errors import ConstraintViolation, SingularLattice, Unresolvable, VertexNotFound
 from isoact.groups import free_reduce
 from isoact.treeball import (
+    MAX_BALL_VERTICES,
     LatticeBall,
     TreeAutomorphism,
     TreeBall,
@@ -75,6 +76,21 @@ class TestBallCombinatorics:
             TreeBall(1, 3)
         with pytest.raises(ConstraintViolation):
             TreeBall(2, 0)
+
+    def test_size_cap(self):
+        # the largest balls the registered suites build: h1 at radius 10, n = 3,
+        # and tree-identities at n = 5, radius 5
+        assert TreeBall(3, 10).vertex_count() == 118097
+        assert TreeBall(5, 5).vertex_count() == 4687
+        assert TreeBall(2, 18).vertex_count() == 786430 <= MAX_BALL_VERTICES
+        with pytest.raises(ConstraintViolation, match="radius 19 gives 1572862 vertices"):
+            TreeBall(2, 19)
+        with pytest.raises(ConstraintViolation, match="radius 40 gives 24315330918113857601"):
+            TreeBall(3, 40)
+        with pytest.raises(ConstraintViolation, match="radius 1 gives 1000002"):
+            TreeBall(10**6, 1)
+        with pytest.raises(ConstraintViolation, match="radius 10000000000 gives more than"):
+            TreeBall(2, 10**10)
 
 
 class TestBoundaryMetric:
