@@ -11,7 +11,20 @@ Exact arithmetic (``fractions.Fraction``, :class:`isoact.exact.QComplex`)
 is used wherever an identity holds on the nose; floating point appears
 only where a construction is genuinely analytic, always with an
 explicit tolerance.
+
+Importing the package sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``
+and ``MKL_NUM_THREADS`` to ``1`` where they are unset.  The linear
+algebra here runs on matrices of a few dozen entries, where a thread
+pool costs more than it saves, and worse under concurrent load.  A value
+the user set is kept, and the setting only takes effect if numpy has not
+been imported before ``isoact``.
 """
+
+import os
+
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+del _name
 
 from .errors import (
     BranchGuard,

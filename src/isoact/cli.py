@@ -279,13 +279,12 @@ def tree_latdist(p, m1, m2):
 
 
 @tree.command(name="deriv")
-@click.option("--n", type=int, default=3, show_default=True)
 @click.option("--radius", type=int, required=True)
 @click.option("--rank", type=int, default=2, show_default=True)
 @click.option("--word", type=str, required=True, help="Reduced word as JSON letters.")
 @click.option("--end", type=str, required=True, help="Ray prefix as JSON address.")
 @guarded
-def tree_deriv(n, radius, rank, word, end):
+def tree_deriv(radius, rank, word, end):
     """Boundary derivative of a free-word automorphism at an end."""
     g = parse_option(word, "--word", lambda data: word_from_json(data, rank))
     auto = freeword_automorphism(g, radius)

@@ -58,10 +58,13 @@ def phase_factor(g: SpMatrix) -> np.ndarray:
     Sends the planar rotation by ``theta`` to ``exp(-i theta)`` and the
     boost ``diag(e^t, e^{-t})`` to ``cosh t``.
     """
-    n = g.n
-    e = g.entries
-    a, b = e[:n, :n], e[:n, n:]
-    c, d = e[n:, :n], e[n:, n:]
+    return _phase(g.entries, g.n)
+
+
+def _phase(e: np.ndarray, n: int) -> np.ndarray:
+    """:func:`phase_factor` on raw entries, or on a stack of them."""
+    a, b = e[..., :n, :n], e[..., :n, n:]
+    c, d = e[..., n:, :n], e[..., n:, n:]
     return 0.5 * ((a + d) + 1j * (c - b))
 
 
@@ -125,6 +128,55 @@ def tau_cocycle_residual(g1: SpMatrix, g2: SpMatrix, g3: SpMatrix) -> float:
     rhs = tau(g2, g3) + tau(g1, g2 * g3)
     wrapped = abs(lhs - rhs) % (2.0 * math.pi)
     return min(wrapped, 2.0 * math.pi - wrapped)
+
+
+def tau_cocycle_residuals(
+    g1: np.ndarray, g2: np.ndarray, g3: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`tau_cocycle_residual` over stacks of triples at once.
+
+    ``g1``, ``g2`` and ``g3`` hold the entries of ``T`` symplectic
+    matrices each, with shape ``(T, 2n, 2n)``.  Returns ``(residuals,
+    ok)``.  ``ok[k]`` is False where the scalar route would raise
+    :class:`IllConditionedPhi` or :class:`BranchGuard` on triple ``k``;
+    its residual is then NaN.  Every other residual equals
+    ``tau_cocycle_residual`` on the same triple bit for bit: each step is
+    the scalar one, with numpy and LAPACK applied slice by slice, and a
+    pair with an exact identity contributes exactly ``0.0``.
+    """
+    if not (g1.shape == g2.shape == g3.shape) or g1.ndim != 3:
+        raise GroupMismatch("expected three stacks of the same shape (T, 2n, 2n)")
+    n = g1.shape[-1] // 2
+    g12 = g1 @ g2
+    g23 = g2 @ g3
+    # The seven matrices whose phase factors the four tau terms read, and
+    # the (left, right, product) indices of tau(g1, g2), tau(g1 g2, g3),
+    # tau(g2, g3) and tau(g1, g2 g3) among them.
+    mats = np.stack([g1, g2, g3, g12, g23, g12 @ g3, g1 @ g23])
+    terms = ((0, 1, 3), (3, 2, 5), (1, 2, 4), (0, 4, 6))
+    phases = _phase(mats, n)
+    collapsed = np.linalg.svd(phases, compute_uv=False)[..., -1] < PHI_SINGULAR_TOL
+    identity = np.all(mats == np.eye(2 * n), axis=(-2, -1))
+    ok = np.ones(len(g1), dtype=bool)
+    values = []
+    for left, right, prod in terms:
+        value = np.zeros(len(g1))
+        live = ok & ~(identity[left] | identity[right])
+        ok &= ~(live & (collapsed[left] | collapsed[right] | collapsed[prod]))
+        live = np.flatnonzero(live & ok)
+        p1, p2, p12 = phases[left, live], phases[right, live], phases[prod, live]
+        defect = np.linalg.solve(p1, p12) @ np.linalg.inv(p2)
+        distance = np.linalg.norm(defect - np.eye(n), 2, axis=(-2, -1))
+        near_cut = distance >= 1.0 - TAU_BRANCH_MARGIN
+        ok[live[near_cut]] = False
+        eigenvalues = np.linalg.eigvals(defect[~near_cut])
+        value[live[~near_cut]] = np.sum(np.angle(eigenvalues), axis=-1)
+        values.append(value)
+    lhs = values[0] + values[1]
+    rhs = values[2] + values[3]
+    wrapped = np.abs(lhs - rhs) % (2.0 * math.pi)
+    residuals = np.minimum(wrapped, 2.0 * math.pi - wrapped)
+    return np.where(ok, residuals, np.nan), ok
 
 
 # ---------------------------------------------------------------------------

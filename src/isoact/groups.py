@@ -289,12 +289,22 @@ def sp_random(rng: np.random.Generator, n: int, scale: float = 0.4) -> SpMatrix:
     ``scale`` controls how far from the identity the sample sits; moderate
     values keep principal-branch guards comfortably satisfied downstream.
     """
+    return SpMatrix(sp_exp(rng.normal(0.0, scale, size=(2 * n, 2 * n)), n), n)
+
+
+def sp_exp(raw: np.ndarray, n: int) -> np.ndarray:
+    """``expm(J S)`` with ``S = (raw + raw^T) / 2``, for one ``2n x 2n``
+    array or a stack of them in the last two axes.
+
+    scipy exponentiates a stack slice by slice, so each slice equals the
+    single-matrix result bit for bit.  scipy is imported here, not at
+    module level, because ``scipy.linalg`` is slow to import and only the
+    symplectic sampler needs it.
+    """
     import scipy.linalg
 
-    raw = rng.normal(0.0, scale, size=(2 * n, 2 * n))
-    S = (raw + raw.T) / 2.0
-    g = scipy.linalg.expm(sp_form(n) @ S)
-    return SpMatrix(g, n)
+    S = (raw + np.swapaxes(raw, -1, -2)) / 2.0
+    return scipy.linalg.expm(sp_form(n) @ S)
 
 
 # ---------------------------------------------------------------------------

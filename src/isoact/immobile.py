@@ -188,17 +188,21 @@ def chain_identity_residual(
     """Largest violation of the chain rule over the usable window.
 
     ``gamma_{g q}(h) = gamma_g(q h) + gamma_q(h)`` holds exactly for
-    every ``h`` such that all four words involved stay inside; integer
-    data in, integer residual out.
+    every ``h`` such that ``q h`` and ``g q h`` stay inside; integer
+    data in, integer residual out.  The left side is the difference
+    function of the product word ``g * q``, so a wrong free-group
+    product shows up as a nonzero residual.
     """
+    gamma_gq = gamma_difference(window, r, g * q)
+    gamma_g = gamma_difference(window, r, g)
+    gamma_q = gamma_difference(window, r, q)
     worst = 0
     for h in window.vertices():
         qh = q * h
-        gqh = g * qh
-        if not (window.contains(qh) and window.contains(gqh)):
+        if not (window.contains(qh) and window.contains(g * qh)):
             continue
-        lhs = r(gqh) - r(h)
-        rhs = (r(gqh) - r(qh)) + (r(qh) - r(h))
+        lhs = gamma_gq.get(h, 0)
+        rhs = gamma_g.get(qh, 0) + gamma_q.get(h, 0)
         worst = max(worst, abs(lhs - rhs))
     return worst
 

@@ -33,6 +33,8 @@ from isoact.groups import (
     word_from_json,
     word_to_json,
 )
+from isoact.report import SuiteConfig, check_row, unresolved_row
+from isoact.suites import REGISTRY, SP_TAU_STACK, resolve_config
 
 
 def random_measure(rng, elements):
@@ -138,6 +140,87 @@ def test_tau_size_mismatch():
     rng = np.random.default_rng(53)
     with pytest.raises(GroupMismatch):
         co.tau(sp_random(rng, 1), sp_random(rng, 2))
+
+
+def _stack(triples):
+    return [np.array([t[i].entries for t in triples]) for i in range(3)]
+
+
+def test_tau_residuals_match_scalar_oracle_with_guards():
+    rng = np.random.default_rng(59)
+    triples = [tuple(sp_random(rng, 1, scale=1.2) for _ in range(3)) for _ in range(40)]
+    g, h = sp_random(rng, 1), sp_random(rng, 1)
+    zero = SpMatrix(np.zeros((2, 2)), 1)
+    guarded = {5: BranchGuard, 17: IllConditionedPhi}
+    triples[5] = (sp_boost(12.0), sp_boost(-12.0), g)
+    triples[17] = (zero, sp_rotation(0.3), h)
+    triples[30] = (sp_identity(1), g, h)
+    residuals, ok = co.tau_cocycle_residuals(*_stack(triples))
+    assert [k for k in range(len(triples)) if not ok[k]] == sorted(guarded)
+    for k, triple in enumerate(triples):
+        if k in guarded:
+            with pytest.raises(guarded[k]):
+                co.tau_cocycle_residual(*triple)
+            assert np.isnan(residuals[k])
+        else:
+            assert float(residuals[k]).hex() == co.tau_cocycle_residual(*triple).hex()
+    assert residuals[30] == 0.0
+
+
+def test_tau_residuals_match_scalar_oracle_sp4():
+    rng = np.random.default_rng(61)
+    triples = [tuple(sp_random(rng, 2, scale=2.0) for _ in range(3)) for _ in range(100)]
+    residuals, ok = co.tau_cocycle_residuals(*_stack(triples))
+    assert ok.all()
+    for k, triple in enumerate(triples):
+        assert float(residuals[k]).hex() == co.tau_cocycle_residual(*triple).hex()
+
+
+def test_tau_residuals_reject_mismatched_stacks():
+    with pytest.raises(GroupMismatch):
+        co.tau_cocycle_residuals(np.zeros((3, 2, 2)), np.zeros((3, 2, 2)), np.zeros((2, 2, 2)))
+
+
+def _sp_tau_rows_by_loop(rc):
+    """sp-tau one trial and one matrix at a time: the oracle of the batched suite."""
+    rows = []
+    for stream, half_dim in ((0, 1), (1, 2)):
+        label = f"sp{2 * half_dim}"
+        for k in range(rc.trials):
+            rng = np.random.default_rng([rc.seed, stream, k])
+            inputs = {"seed": rc.seed, "trial": k, "dim": 2 * half_dim}
+            for _ in range(5):
+                triple = [sp_random(rng, half_dim, rc.params["scale"]) for _ in range(3)]
+                try:
+                    residual = co.tau_cocycle_residual(*triple)
+                except (BranchGuard, IllConditionedPhi):
+                    continue
+                rows.append(check_row(f"{label}-{k:04d}", inputs, residual, residual, rc.tolerance))
+                break
+            else:
+                rows.append(unresolved_row(f"{label}-{k:04d}", inputs, "branch guards exhausted"))
+        g = sp_random(np.random.default_rng([rc.seed, stream + 10, 0]), half_dim, rc.params["scale"])
+        e = sp_identity(half_dim)
+        defect = abs(co.tau(e, g)) + abs(co.tau(g, e)) + abs(co.tau(e, e))
+        rows.append(check_row(f"{label}-identity", {"dim": 2 * half_dim}, defect, defect, 0.0))
+    return rows
+
+
+@pytest.mark.parametrize("trials", [50, SP_TAU_STACK + 50])
+def test_sp_tau_suite_matches_per_trial_loop(trials):
+    rc = resolve_config(SuiteConfig.make("sp-tau", seed=42, trials=trials))
+    assert REGISTRY["sp-tau"].run(rc) == _sp_tau_rows_by_loop(rc)
+
+
+def test_sp_tau_suite_retries_like_the_loop(monkeypatch):
+    # Every phase factor of a symplectic matrix has singular values >= 1,
+    # so raising the floor just above 1 makes the guard fire on some
+    # triples: some trials retry and pass, some exhaust their attempts.
+    monkeypatch.setattr(co, "PHI_SINGULAR_TOL", 1.01)
+    rc = resolve_config(SuiteConfig.make("sp-tau", seed=42, trials=50))
+    rows = REGISTRY["sp-tau"].run(rc)
+    assert {row.verdict for row in rows} == {"pass", "unresolved"}
+    assert rows == _sp_tau_rows_by_loop(rc)
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,20 @@ def test_chain_identity_exact():
     assert gamma_difference(w, r, word(1, 2) * word(-2, 1))
 
 
+def test_chain_identity_catches_a_wrong_product(monkeypatch):
+    w = CayleyWindow(2, 6)
+    r = suffix_indicator(word(1))
+    g, q = word(1, 2), word(-2, 1)
+    right = FreeWord.__mul__
+
+    def swapped_for_g_q(a, b):
+        # q g in place of g q, for this one product only
+        return right(b, a) if (a, b) == (g, q) else right(a, b)
+
+    monkeypatch.setattr(FreeWord, "__mul__", swapped_for_g_q)
+    assert chain_identity_residual(w, r, g, q) == 1
+
+
 def test_energy_report_suffix_stabilizes():
     report = immobile_function_test(2, suffix_indicator(word(1)), [2, 3, 4, 5])
     assert report.sums == (1, 1, 1, 1)

@@ -1,6 +1,10 @@
-"""Every name a module under ``src/isoact`` imports is used in that module."""
+"""What importing isoact does: every name a module under ``src/isoact``
+imports is used in that module, and the native thread pools are pinned."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,3 +63,29 @@ def test_no_unused_imports(path):
 def test_scan_sees_a_dead_import():
     tree = ast.parse("from typing import List, Tuple\nimport os\nx: 'Tuple[int]' = ()\n")
     assert imported_names(tree) - used_names(tree) == {"List", "os"}
+
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+THREAD_PROBE = (
+    "import os, sys; sys.path.insert(0, sys.argv[1]); import isoact; "
+    "print(' '.join(os.environ.get(name, '-') for name in sys.argv[2:]))"
+)
+
+
+@pytest.mark.parametrize(
+    "preset, expected",
+    [({}, ["1", "1", "1"]), ({"OPENBLAS_NUM_THREADS": "3"}, ["3", "1", "1"])],
+)
+def test_import_pins_thread_pools_unless_set(preset, expected):
+    # a fresh interpreter: once numpy is loaded, the variables no longer matter
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env.update(preset)
+    done = subprocess.run(
+        [sys.executable, "-c", THREAD_PROBE, str(PACKAGE.parent), *THREAD_VARS],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert done.stdout.split() == expected

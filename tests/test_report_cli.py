@@ -384,6 +384,13 @@ class TestModuleCommands:
         )
         assert data["distance"] == 2
 
+    def test_tree_deriv_rejects_n(self):
+        args = ("tree", "deriv", "--radius", "4", "--word", "[1]", "--end", "[0,0,0,0]")
+        assert self.out(*args) == {"derivative": "3"}
+        result = self.invoke(*args, "--n", "3")
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert "No such option '--n'" in result.output
+
     def test_rtree_length(self):
         data = self.out("rtree", "length", "--word", "[2,1,-2]")
         assert data["length"] == 1

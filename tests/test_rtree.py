@@ -30,25 +30,30 @@ from isoact.rtree import (
 from isoact.suites import _conjugate_lengths
 
 
-def brute_translation_length(g: FreeWord, search_radius: int = 8) -> int:
-    """Minimum of ``|x^-1 g x|`` over all words with ``|x| <= search_radius``."""
-    best = len(g)
-    frontier = [FreeWord((), g.rank)]
+def brute_window(rank: int, search_radius: int = 8) -> list:
+    """Every ``(x^-1, x)`` with ``1 <= |x| <= search_radius``, enumerated
+    with ``FreeWord`` products and a ``seen`` set."""
+    frontier = [FreeWord((), rank)]
     seen = {()}
+    window = []
     for _ in range(search_radius):
         nxt = []
         for x in frontier:
-            for letter in range(-g.rank, g.rank + 1):
+            for letter in range(-rank, rank + 1):
                 if letter == 0:
                     continue
-                y = x * FreeWord((letter,), g.rank)
+                y = x * FreeWord((letter,), rank)
                 if y.letters not in seen:
                     seen.add(y.letters)
                     nxt.append(y)
         frontier = nxt
-        for x in frontier:
-            best = min(best, len(x.inverse() * g * x))
-    return best
+        window.extend((x.inverse(), x) for x in frontier)
+    return window
+
+
+def brute_translation_length(g: FreeWord, window: list) -> int:
+    """Minimum of ``|x^-1 g x|`` over the empty word and every ``x`` of the window."""
+    return min([len(g)] + [len(x_inv * g * x) for x_inv, x in window])
 
 
 class TestTranslationLength:
@@ -66,9 +71,11 @@ class TestTranslationLength:
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(30)
+        window = brute_window(2)
+        assert len(window) == 2 * (3**8 - 1)
         for _ in range(40):
             g = random_word(rng, 2, int(rng.integers(0, 7)))
-            assert translation_length(g) == brute_translation_length(g)
+            assert translation_length(g) == brute_translation_length(g, window)
 
     def test_basepoint_formula_agrees(self):
         rng = np.random.default_rng(31)
