@@ -87,7 +87,8 @@ class Param:
     lies in ``low..high``, or with tuple bounds is a list of one number per
     bound; a ``str`` is one of ``choices``.  ``at_least > 0`` asks for a
     list of that many or more distinct such values.  A None default is
-    worked out by the suite.
+    worked out by the suite.  ``holds``, when set, is a further condition
+    on each entry, which ``condition`` words for the error message.
     """
 
     name: str
@@ -97,6 +98,8 @@ class Param:
     high: object = None
     choices: Tuple[str, ...] = ()
     at_least: int = 0
+    holds: Optional[Callable[[object], bool]] = None
+    condition: str = ""
 
     def describe(self) -> str:
         if self.choices:
@@ -106,6 +109,8 @@ class Param:
             entry = f"a list of {len(self.low)} integers in {ranges}"
         else:
             entry = f"{_KIND_TEXT[self.kind]} in {self.low}..{self.high}"
+        if self.condition:
+            entry = f"{entry} {self.condition}"
         if self.at_least:
             return f"a list of at least {self.at_least} distinct entries, each {entry}"
         return entry
@@ -141,7 +146,7 @@ class Param:
             value = self.kind(value)
         except (OverflowError, ZeroDivisionError):
             raise ValueError from None
-        if not low <= value <= high:
+        if not low <= value <= high or (self.holds is not None and not self.holds(value)):
             raise ValueError
         return value
 
@@ -175,6 +180,8 @@ class SuiteEntry:
     default_trials: int
     default_tolerance: float
     params: Tuple[Param, ...]
+    # set when rows derive their own tolerance: says how, and a given one is refused
+    fixed_tolerance: str = ""
 
 
 def _rng(rc: ResolvedConfig, stream: int, trial: int) -> np.random.Generator:
@@ -579,6 +586,14 @@ def _suite_h1(rc: ResolvedConfig) -> List[CheckRow]:
 # ---------------------------------------------------------------------------
 
 
+_CORPUS_CORNERS = frozenset(val for build in CORPUS.values() for _, val in build().a_plus)
+
+
+def _divides_corpus_corners(step: Fraction) -> bool:
+    """Whether ``step`` divides every corner width, hence every edge width, of the corpus."""
+    return all((width / step).denominator == 1 for width in _CORPUS_CORNERS)
+
+
 def _grid_point(track, rng: np.random.Generator, step: Fraction):
     edge = int(rng.integers(0, len(track.edge_ends)))
     units = int(track.width(edge) / step)
@@ -592,12 +607,12 @@ def _suite_traintrack(rc: ResolvedConfig) -> List[CheckRow]:
         track = CORPUS[name]()
         rng = _rng(rc, stream, 0)
         points = [_grid_point(track, rng, step) for _ in range(2 * rc.trials)]
+        pairs = list(zip(points[::2], points[1::2]))
         metric = TrackMetric(track, points)
-        grid = grid_metric(track, points, step=step)
-        for k in range(rc.trials):
-            p, q = points[2 * k], points[2 * k + 1]
+        grid = grid_metric(track, pairs, step=step)
+        for k, (p, q) in enumerate(pairs):
             exact = metric.distance(p, q)
-            residual = abs(float(exact - grid[2 * k][2 * k + 1]))
+            residual = abs(float(exact - grid[k]))
             inputs = {"seed": rc.seed, "track": name, "trial": k}
             rows.append(
                 check_row(f"dist-{name}-{k:02d}", inputs, float(exact), residual, 5 * float(step))
@@ -675,8 +690,11 @@ def _register(
     default_trials: int,
     default_tolerance: float,
     *params: Param,
+    fixed_tolerance: str = "",
 ) -> None:
-    REGISTRY[name] = SuiteEntry(run, description, default_trials, default_tolerance, params)
+    REGISTRY[name] = SuiteEntry(
+        run, description, default_trials, default_tolerance, params, fixed_tolerance
+    )
 
 
 # Ranges cap every parameter that sets how much work a suite does, so no
@@ -780,7 +798,16 @@ _register(
     "strip-space metric agrees with the grid metric; validator rejects width perturbations",
     20,
     5e-3,
-    Param("step", Fraction, Fraction(1, 1000), Fraction(1, 10000), Fraction(1)),
+    Param(
+        "step",
+        Fraction,
+        Fraction(1, 1000),
+        Fraction(1, 10000),
+        Fraction(1),
+        holds=_divides_corpus_corners,
+        condition="that divides every corpus corner width",
+    ),
+    fixed_tolerance="each row's tolerance is 5 * step",
 )
 _register(
     "fock-mult",
@@ -816,6 +843,8 @@ def resolve_config(cfg: SuiteConfig) -> ResolvedConfig:
     for key in given:
         if key not in declared:
             raise ConfigError(f"unknown parameter {key!r} for suite {cfg.suite}")
+    if cfg.tolerance is not None and entry.fixed_tolerance:
+        raise ConfigError(f"{cfg.suite}: a tolerance cannot be set; {entry.fixed_tolerance}")
     return ResolvedConfig(
         suite=cfg.suite,
         seed=cfg.seed,

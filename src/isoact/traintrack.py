@@ -243,63 +243,123 @@ class TrackMetric:
         return [[self.distance(p, q) for q in self.points] for p in self.points]
 
 
-def grid_metric(track: TrainTrack, points: Sequence[Point], step: Fraction = Fraction(1, 1000)):
-    """Independent check metric on a uniform grid of mesh ``step``.
+GRID_CAP = 200000
 
-    Chart coordinates are snapped to multiples of ``step``; gluing images
-    of grid points are again grid points whenever all widths are multiples
-    of ``step``.  Distances come back as Fractions with resolution error at
-    most a few steps, for cross-checking the exact metric.
+# (dart, lo, hi, dart2, c): view coordinate u in lo..hi at ``dart`` is glued
+# to view coordinate c - u at ``dart2``, all in grid units.
+Gluing = Tuple[Dart, int, int, Dart, int]
+
+
+def grid_gluings(track: TrainTrack, step: Fraction) -> Tuple[List[int], List[Gluing]]:
+    """Edge widths in grid units and every gluing as an integer map.
+
+    At each dart ``d`` with corner width A, the corner segment ``0..A``
+    maps by u ↦ C(next) + A − u into the next dart's view and the far
+    segment ``A..W`` by u ↦ C(prev) + A − u into the previous dart's view.
+    Raises before anything of the grid's size is allocated: when an edge
+    width or a corner width is not a multiple of ``step``, or when the
+    grid would exceed ``GRID_CAP`` nodes.
     """
     step = Fraction(step)
-    units: List[int] = []
-    offsets: List[int] = [0]
+    widths: List[int] = []
     for e in range(len(track.edge_ends)):
         w = track.width(e) / step
         if w.denominator != 1:
             raise ConstraintViolation(f"width of edge {e} is not a multiple of the grid step")
-        units.append(int(w))
-        offsets.append(offsets[-1] + int(w) + 1)
-    total = offsets[-1]
-    if total > 200000:
+        widths.append(int(w))
+    total = sum(widths) + len(widths)
+    if total > GRID_CAP:
         raise PartitionOverflow(f"grid has {total} nodes; coarsen the step")
+    corner: Dict[Dart, int] = {}
+    for d, val in track.a_plus:
+        a = val / step
+        if a.denominator != 1:
+            raise ConstraintViolation(
+                f"gluing image left the grid: corner width at slot {d} is not a multiple of the step"
+            )
+        corner[d] = int(a)
+    gluings: List[Gluing] = []
+    for d, a in corner.items():
+        d2, d0 = track.next_dart(d), track.prev_dart(d)
+        gluings.append((d, 0, a, d2, corner[d2] + a))
+        gluings.append((d, a, widths[d[0]], d0, corner[d0] + a))
+    return widths, gluings
 
-    def node(e: int, k: int) -> int:
-        return offsets[e] + k
 
-    adj: List[List[Tuple[int, int]]] = [[] for _ in range(total)]
-    for e in range(len(track.edge_ends)):
-        for k in range(units[e]):
-            adj[node(e, k)].append((node(e, k + 1), 1))
-            adj[node(e, k + 1)].append((node(e, k), 1))
-    for e in range(len(track.edge_ends)):
-        for k in range(units[e] + 1):
-            for (e2, x2) in track.glue_images((e, k * step)):
-                k2 = x2 / step
-                if k2.denominator != 1:
-                    raise ConstraintViolation("gluing image left the grid")
-                adj[node(e, k)].append((node(e2, int(k2)), 0))
+def grid_metric(
+    track: TrainTrack, pairs: Sequence[Tuple[Point, Point]], step: Fraction = Fraction(1, 1000)
+) -> List[Fraction]:
+    """Brute-force check distances on a uniform grid of mesh ``step``.
 
-    snapped = []
-    for p in points:
+    Grid nodes are the multiples of ``step`` on every chart, neighbours on a
+    chart are one step apart, and the gluings of :func:`grid_gluings` join
+    nodes at zero cost.  Those zero-cost classes are merged by union-find;
+    each pair's points are snapped to the nearest node and its distance is a
+    unit-cost breadth-first search over the classes that stops at the
+    target.  Returns one Fraction per pair, with resolution error at most a
+    few steps, for cross-checking the exact metric; it shares no code with
+    :class:`TrackMetric`.
+    """
+    step = Fraction(step)
+    widths, gluings = grid_gluings(track, step)
+    offsets = [0]
+    for w in widths:
+        offsets.append(offsets[-1] + w + 1)
+    total = offsets[-1]
+
+    def origin(d: Dart) -> Tuple[int, int]:
+        """Index of view coordinate 0 at ``d`` and the index change per unit of view."""
+        e, end = d
+        return (offsets[e], 1) if end == 0 else (offsets[e] + widths[e], -1)
+
+    parent = list(range(total))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for d, lo, hi, d2, c in gluings:
+        base, sign = origin(d)
+        base2, sign2 = origin(d2)
+        for u in range(lo, hi + 1):
+            a, b = find(base + sign * u), find(base2 + sign2 * (c - u))
+            if a != b:
+                parent[a] = b
+
+    root = [find(i) for i in range(total)]
+    adj: Dict[int, List[int]] = {}
+    for e, w in enumerate(widths):
+        for i in range(offsets[e], offsets[e] + w):
+            a, b = root[i], root[i + 1]
+            if a != b:
+                adj.setdefault(a, []).append(b)
+                adj.setdefault(b, []).append(a)
+
+    def snap(p: Point) -> int:
         e, x = track.check_point(p)
         k = int(round(float(x / step)))
-        k = min(max(k, 0), units[e])
-        snapped.append(node(e, k))
+        return root[offsets[e] + min(max(k, 0), widths[e])]
 
-    out: List[List[Fraction]] = []
-    for src in snapped:
-        dist = [None] * total
-        heap: List[Tuple[int, int]] = [(0, src)]
-        while heap:
-            d, i = heapq.heappop(heap)
-            if dist[i] is not None:
-                continue
-            dist[i] = d
-            for j, cost in adj[i]:
-                if dist[j] is None:
-                    heapq.heappush(heap, (d + cost, j))
-        out.append([Fraction(dist[t]) * step for t in snapped])
+    out: List[Fraction] = []
+    for p, q in pairs:
+        source, target = snap(p), snap(q)
+        level = 0
+        seen = {source}
+        frontier = [source]
+        while target not in seen:
+            if not frontier:
+                raise ConstraintViolation(f"points {p} and {q} lie in different components")
+            level += 1
+            nxt = []
+            for a in frontier:
+                for b in adj.get(a, ()):
+                    if b not in seen:
+                        seen.add(b)
+                        nxt.append(b)
+            frontier = nxt
+        out.append(level * step)
     return out
 
 

@@ -198,6 +198,7 @@ class TestResolution:
             ("tree-identities", "n_values", "[2]"),
             ("traintrack", "step", "0"),
             ("traintrack", "step", "1/0"),
+            ("traintrack", "step", "2/3"),
             ("bergman", "degree", 2.5),
             ("bergman", "max_ratio", True),
             ("fock-mult", "cases", [[1, 15]]),
@@ -338,6 +339,8 @@ class TestRunCommand:
             ('{"suite": "bergman", "params": [1]}', "params"),
             ('{"suite": "h1", "params": {"radii": "6,8"}}', "radii"),
             ('{"suite": "traintrack", "params": {"step": "0"}}', "step"),
+            ('{"suite": "traintrack", "params": {"step": "2/3"}}', "traintrack: parameter 'step'"),
+            ('{"suite": "traintrack", "tolerance": 0.1}', "tolerance"),
         ],
     )
     def test_bad_config_file_is_one_error_line(self, tmp_path, text, key):
@@ -348,6 +351,15 @@ class TestRunCommand:
     def test_infinite_tolerance_rejected(self):
         result = self.invoke("run", "--suite", "bergman", "--trials", "1", "--tol", "inf")
         assert_one_error_line(result, "tolerance")
+
+    def test_traintrack_refuses_a_tolerance(self):
+        # its rows always use 5 * step, so a given tolerance would change only the digest
+        result = self.invoke("run", "--suite", "traintrack", "--trials", "1", "--tol", "1e-12")
+        assert_one_error_line(result, "tolerance")
+        assert "5 * step" in result.output
+        with pytest.raises(ConfigError, match="traintrack: a tolerance cannot be set"):
+            resolve_config(SuiteConfig.make("traintrack", tolerance=5e-3))
+        assert resolve_config(SuiteConfig.make("traintrack")).tolerance == 5e-3
 
 
 def assert_one_error_line(result, key):

@@ -1,16 +1,20 @@
 """Train track validation, exact quotient metric, grid cross-check."""
 
+import heapq
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from isoact import suites
+from isoact import suites, traintrack
 from isoact.errors import ConstraintViolation, InvalidCoordinate, PartitionOverflow
 from isoact.report import SuiteConfig
 from isoact.traintrack import (
     CORPUS,
     TrackMetric,
+    TrainTrack,
+    grid_gluings,
     grid_metric,
     make_track,
     rose_track,
@@ -30,6 +34,95 @@ def random_points(track, rng, count):
         num = int(rng.integers(0, 8 * W.numerator + 1))
         out.append((e, Fraction(num, 8 * W.denominator) * 1))
     return out
+
+
+def _grid_metric_dense(track, points, step):
+    """The former grid oracle: Dijkstra from every snapped point, all pairs.
+
+    Builds the whole grid graph, with unit-cost chart steps and zero-cost
+    edges to each node's ``glue_images`` found in Fractions, and returns the
+    full matrix of grid distances.  Kept as the oracle of ``grid_metric``.
+    """
+    step = Fraction(step)
+    units = []
+    offsets = [0]
+    for e in range(len(track.edge_ends)):
+        w = track.width(e) / step
+        assert w.denominator == 1
+        units.append(int(w))
+        offsets.append(offsets[-1] + int(w) + 1)
+    total = offsets[-1]
+
+    def node(e, k):
+        return offsets[e] + k
+
+    adj = [[] for _ in range(total)]
+    for e in range(len(track.edge_ends)):
+        for k in range(units[e]):
+            adj[node(e, k)].append((node(e, k + 1), 1))
+            adj[node(e, k + 1)].append((node(e, k), 1))
+    for e in range(len(track.edge_ends)):
+        for k in range(units[e] + 1):
+            for e2, x2 in track.glue_images((e, k * step)):
+                k2 = x2 / step
+                assert k2.denominator == 1
+                adj[node(e, k)].append((node(e2, int(k2)), 0))
+
+    snapped = []
+    for p in points:
+        e, x = track.check_point(p)
+        k = int(round(float(x / step)))
+        snapped.append(node(e, min(max(k, 0), units[e])))
+
+    out = []
+    for src in snapped:
+        dist = [None] * total
+        heap = [(0, src)]
+        while heap:
+            d, i = heapq.heappop(heap)
+            if dist[i] is not None:
+                continue
+            dist[i] = d
+            for j, cost in adj[i]:
+                if dist[j] is None:
+                    heapq.heappush(heap, (d + cost, j))
+        out.append([Fraction(dist[t]) * step for t in snapped])
+    return out
+
+
+def zero_slot_theta():
+    """A theta with one zero corner at each vertex, which is still consistent."""
+    return make_track(
+        ("v", "w"),
+        [("v", "w"), ("v", "w"), ("v", "w")],
+        {"v": [(0, 0), (1, 0), (2, 0)], "w": [(0, 1), (2, 1), (1, 1)]},
+        {
+            (0, 0): Fraction(0),
+            (1, 0): Fraction(2),
+            (2, 0): Fraction(3),
+            (0, 1): Fraction(3),
+            (2, 1): Fraction(2),
+            (1, 1): Fraction(0),
+        },
+    )
+
+
+# the corpus, plus a track with zero corner widths, whose corner segments are single points
+GRID_TRACKS = {**CORPUS, "zero-slots": zero_slot_theta}
+
+
+def corner_points(track):
+    """Every corner breakpoint of the track and each of its direct gluing images."""
+    out = []
+    for d, width in track.a_plus:
+        p = (d[0], track.unview(d, width))
+        out.append(p)
+        out.extend(track.glue_images(p))
+    return sorted(set(out))
+
+
+def all_pairs(points):
+    return [(p, q) for p in points for q in points]
 
 
 class TestValidation:
@@ -89,20 +182,7 @@ class TestValidation:
             single_edge_track(Fraction(0))
 
     def test_zero_slots_allowed(self):
-        # a theta with one zero corner at each vertex is still consistent
-        track = make_track(
-            ("v", "w"),
-            [("v", "w"), ("v", "w"), ("v", "w")],
-            {"v": [(0, 0), (1, 0), (2, 0)], "w": [(0, 1), (2, 1), (1, 1)]},
-            {
-                (0, 0): Fraction(0),
-                (1, 0): Fraction(2),
-                (2, 0): Fraction(3),
-                (0, 1): Fraction(3),
-                (2, 1): Fraction(2),
-                (1, 1): Fraction(0),
-            },
-        )
+        track = zero_slot_theta()
         assert [track.width(e) for e in range(3)] == [3, 2, 5]
         metric = TrackMetric(track, [(0, Fraction(0)), (1, Fraction(1))])
         assert metric.distance((0, Fraction(0)), (1, Fraction(1))) >= 0
@@ -186,11 +266,10 @@ class TestQuotientMetric:
         pts = random_points(track, rng, 5)
         metric = TrackMetric(track, pts)
         step = Fraction(1, 200)
-        grid = grid_metric(track, pts, step=step)
-        for i in range(len(pts)):
-            for j in range(len(pts)):
-                exact = metric.distance(pts[i], pts[j])
-                assert abs(exact - grid[i][j]) <= 5 * step
+        pairs = all_pairs(pts)
+        grid = grid_metric(track, pairs, step=step)
+        for (p, q), approx in zip(pairs, grid):
+            assert abs(metric.distance(p, q) - approx) <= 5 * step
 
     def test_overflow_guard(self):
         with pytest.raises(PartitionOverflow):
@@ -203,6 +282,104 @@ class TestQuotientMetric:
         metric = TrackMetric(track, [(0, Fraction(1))])
         with pytest.raises(InvalidCoordinate):
             metric.distance((0, Fraction(1)), (0, Fraction(1, 3)))
+
+
+class TestGridMetric:
+    @pytest.mark.parametrize("step", [Fraction(1, 200), Fraction(1, 50), Fraction(1)])
+    @pytest.mark.parametrize("name", sorted(GRID_TRACKS))
+    def test_pairs_match_dense_oracle(self, name, step):
+        track = GRID_TRACKS[name]()
+        rng = np.random.default_rng(54)
+        pts = sorted(set(random_points(track, rng, 6) + corner_points(track)))
+        dense = _grid_metric_dense(track, pts, step)
+        grid = grid_metric(track, all_pairs(pts), step=step)
+        assert grid == [d for row in dense for d in row]
+
+    @pytest.mark.parametrize("step", [Fraction(1, 50), Fraction(1)])
+    @pytest.mark.parametrize("name", sorted(GRID_TRACKS))
+    def test_integer_gluings_match_glue_images(self, name, step):
+        track = GRID_TRACKS[name]()
+        widths, gluings = grid_gluings(track, step)
+
+        def index(d, u):
+            return u if d[1] == 0 else widths[d[0]] - u
+
+        images = {(e, k): [] for e, w in enumerate(widths) for k in range(w + 1)}
+        for d, lo, hi, d2, c in gluings:
+            for u in range(lo, hi + 1):
+                source, image = (d[0], index(d, u)), (d2[0], index(d2, c - u))
+                if image != source:
+                    images[source].append(image)
+        for (e, k), found in images.items():
+            expected = [(e2, x2 / step) for e2, x2 in track.glue_images((e, k * step))]
+            assert sorted(found) == sorted(expected), (e, k)
+
+    def test_runs_without_the_exact_metric(self, monkeypatch):
+        track = theta_track()
+        pts = corner_points(track) + [(1, Fraction(3, 2)), (2, Fraction(9, 4))]
+        step = Fraction(1, 4)
+        expected = [d for row in _grid_metric_dense(track, pts, step) for d in row]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("grid_metric must not use the exact metric or glue_images")
+
+        monkeypatch.setattr(traintrack, "TrackMetric", refuse)
+        monkeypatch.setattr(TrainTrack, "glue_images", refuse)
+        assert grid_metric(track, all_pairs(pts), step=step) == expected
+
+    def test_cap_step_suite_passes(self):
+        cfg = SuiteConfig.make("traintrack", trials=1, params={"step": "1/10000"})
+        report = suites.run_suite(cfg)
+        assert report.summary() == {"pass": 6, "fail": 0, "unresolved": 0}
+
+    def test_over_cap_refused_before_allocation(self):
+        track = theta_track()  # widths 4 + 3 + 5 at step 1/20000: 240,003 nodes
+        pair = ((0, Fraction(0)), (1, Fraction(1)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(PartitionOverflow, match="240003 nodes"):
+                grid_metric(track, [pair], step=Fraction(1, 20000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_width_off_grid_refused(self):
+        with pytest.raises(ConstraintViolation, match="width of edge 0"):
+            grid_metric(theta_track(), [], step=Fraction(3, 2))
+
+    def test_corner_off_grid_refused(self):
+        # corners 1/2 and 5/2 at each vertex: every edge width is a whole number
+        track = make_track(
+            ("v", "w"),
+            [("v", "w"), ("v", "w"), ("v", "w")],
+            {"v": [(0, 0), (1, 0), (2, 0)], "w": [(0, 1), (2, 1), (1, 1)]},
+            {
+                (0, 0): Fraction(1, 2),
+                (1, 0): Fraction(5, 2),
+                (2, 0): Fraction(5, 2),
+                (0, 1): Fraction(5, 2),
+                (2, 1): Fraction(5, 2),
+                (1, 1): Fraction(1, 2),
+            },
+        )
+        assert [track.width(e) for e in range(3)] == [3, 3, 5]
+        with pytest.raises(ConstraintViolation, match="gluing image left the grid"):
+            grid_metric(track, [((0, Fraction(0)), (1, Fraction(1)))], step=Fraction(1))
+
+
+    def test_disconnected_pair_is_refused(self):
+        track = make_track(
+            ("v", "w", "x", "y"),
+            [("v", "w"), ("x", "y")],
+            {"v": [(0, 0)], "w": [(0, 1)], "x": [(1, 0)], "y": [(1, 1)]},
+            {(0, 0): Fraction(1), (0, 1): Fraction(1), (1, 0): Fraction(1), (1, 1): Fraction(1)},
+        )
+        near = ((0, Fraction(0)), (0, Fraction(1)))
+        far = ((0, Fraction(0)), (1, Fraction(1)))
+        assert grid_metric(track, [near], step=Fraction(1, 4)) == [Fraction(1)]
+        with pytest.raises(ConstraintViolation, match="different components"):
+            grid_metric(track, [near, far], step=Fraction(1, 4))
 
 
 class TestJson:
