@@ -16,7 +16,9 @@ The harmonic split of an edge flow solves one Dirichlet problem.  Every
 graph in the package (tree balls, free-group Cayley windows) is a tree, so
 the solve is a leaf-to-root elimination with no fill-in (Parter, SIAM
 Rev. 3, 1961): linear in the vertex count, exact on exact input, and well
-defined whenever the tree has a boundary vertex.
+defined whenever the tree has a boundary vertex.  For the unit flow on one
+root edge of a homogeneous tree ball the split is radial, so its norm comes
+from one elimination on the path of (side, depth) levels, without the ball.
 """
 
 from __future__ import annotations
@@ -125,7 +127,7 @@ def mean_value_laplacian(ball: TreeBall, graph: OrientedGraph, f: Sequence) -> D
     omitted because their window degree understates the tree degree.
     """
     p = ball.n + 1
-    exact = all(isinstance(x, (Fraction, int)) for x in f)
+    exact = all(isinstance(x, (int, Fraction)) for x in f)
     out: Dict[int, object] = {}
     for i in range(len(graph.vertices)):
         if not graph.interior[i]:
@@ -134,7 +136,7 @@ def mean_value_laplacian(ball: TreeBall, graph: OrientedGraph, f: Sequence) -> D
         for e, sign in graph.incident[i]:
             t, h = graph.edges[e]
             acc = acc + f[t if sign > 0 else h]
-        out[i] = f[i] - Fraction(1, p) * acc if exact else f[i] - acc / p
+        out[i] = Fraction(p * f[i] - acc, p) if exact else f[i] - acc / p
     return out
 
 
@@ -387,29 +389,45 @@ def interior_divergence_max(graph: OrientedGraph, h: Sequence) -> float:
     return max(vals) if vals else 0.0
 
 
-def single_edge_flow(graph: OrientedGraph, tail, head) -> List[Fraction]:
-    """Unit flow along one edge, zero elsewhere."""
-    e, sign = graph.edge_index(tail, head)
-    out = [Fraction(0)] * len(graph.edges)
-    out[e] = Fraction(sign)
-    return out
+def subtree_flow_norms(n: int, radii: Sequence[int]) -> List[Fraction]:
+    """Exact squared norms of the divergence-free part of a single-edge flow.
 
-
-def subtree_flow_norms(n: int, radii: Sequence[int]) -> List[float]:
-    """Squared norms of the divergence-free part of a single-edge flow.
-
-    For each radius, builds the tree ball, pushes the unit flow on the edge
-    from the root into direction 0 through :func:`harmonic_decompose`, and
-    records the squared norm of the remainder.  On the 4-regular tree this
-    converges to 1/2 as the radius grows.  The flows are floats: at
-    ``n = 3``, radius 10 they differ from the exact values by about 2.5e-12,
-    and the exact solve there takes several times longer.
+    For each radius this is the squared norm of the remainder that
+    :func:`harmonic_decompose` leaves of the unit flow on the edge from the
+    root into direction 0 of the radius-``r`` ball, computed without the
+    ball.  The flow is invariant under the automorphisms that fix its edge,
+    so the solution is constant on each (side, depth) level, and lumping the
+    levels gives a weighted path ``B_r .. B_1, root, A_1 .. A_r`` whose
+    conductances count the edges between levels: ``n^(k+1)`` between
+    ``B_k`` and ``B_(k+1)`` (the root is ``B_0``), 1 between the root and
+    ``A_1``, and ``n^k`` between ``A_k`` and ``A_(k+1)``; for radial
+    functions on homogeneous trees see Cartier, *Harmonic analysis on
+    trees* (1973).  One elimination along the path in rationals costs
+    O(r), and the values equal ``(n - 1) n^r / ((n + 1)(n^r - 1))``, which
+    tends to ``(n - 1) / (n + 1)`` (1/2 on the 4-regular tree).
     """
-    out = []
-    for r in radii:
-        ball = TreeBall(n, r)
-        graph = tree_ball_graph(ball)
-        flow = [float(x) for x in single_edge_flow(graph, (), (0,))]
-        _, rem = harmonic_decompose(graph, flow)
-        out.append(float(edge_inner(rem, rem)))
-    return out
+    if n < 2:
+        raise ConstraintViolation("homogeneity parameter n must be at least 2")
+    if any(r < 1 for r in radii):
+        raise ConstraintViolation("radius must be at least 1")
+    return [_radial_flow_norm(n, r) for r in radii]
+
+
+def _radial_flow_norm(n: int, r: int) -> Fraction:
+    # path node j is B_(r-j) for j <= r and A_(j-r) beyond; link j joins nodes j, j+1
+    cond = [n ** (r - j) for j in range(r)] + [1] + [n**k for k in range(1, r)]
+    flow = [0] * (2 * r)
+    flow[r] = 1
+    # interior nodes 1 .. 2r-1 from the B end: u_j = a_j * u_(j+1) + b_j, with u_0 = 0
+    a = [Fraction(0)] * (2 * r)
+    b = [Fraction(0)] * (2 * r)
+    for j in range(1, 2 * r):
+        left, right = cond[j - 1], cond[j]
+        pivot = left + right - left * a[j - 1]
+        a[j] = right / pivot
+        b[j] = (flow[j - 1] - flow[j] + left * b[j - 1]) / pivot
+    u = [Fraction(0)] * (2 * r + 1)
+    for j in range(2 * r - 1, 0, -1):
+        u[j] = a[j] * u[j + 1] + b[j]
+    remainder = [x - (u[j + 1] - u[j]) for j, x in enumerate(flow)]
+    return sum((c * x * x for c, x in zip(cond, remainder)), Fraction(0))

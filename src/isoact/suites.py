@@ -188,8 +188,19 @@ def _rng(rc: ResolvedConfig, stream: int, trial: int) -> np.random.Generator:
     return np.random.default_rng([rc.seed, stream, trial])
 
 
-def _rational(rng: np.random.Generator) -> Fraction:
-    return Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8)))
+# lcm(1..7): every sampled rational times this is an integer
+RATIONAL_SCALE = 420
+
+
+def _scaled_rationals(rng: np.random.Generator, count: int) -> List[int]:
+    """``count`` rationals p/q, p in -9..9 and q in 1..7, each times RATIONAL_SCALE.
+
+    One broadcast call draws the (p, q) pairs in the order, and with the
+    values, of one scalar draw of p and then q per rational, and leaves the
+    generator in the same state.
+    """
+    pq = rng.integers(np.tile([-9, 1], count), np.tile([10, 8], count))
+    return (pq[0::2] * (RATIONAL_SCALE // pq[1::2])).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +219,8 @@ def _suite_tree_identities(rc: ResolvedConfig) -> List[CheckRow]:
         size = len(graph.vertices)
         p = n + 1
         exact = mode == "exact"
-        one = Fraction(1) if exact else 1.0
-        zero = ZERO if exact else 0.0
+        one = 1 if exact else 1.0
+        zero = 0 if exact else 0.0
 
         # operator identity column by column on the standard basis
         worst = zero
@@ -227,13 +238,16 @@ def _suite_tree_identities(rc: ResolvedConfig) -> List[CheckRow]:
         def adjoint_trial(k: int, n=n, ball=ball, graph=graph, exact=exact):
             rng = _rng(rc, n, k)
             if exact:
-                f = [_rational(rng) for _ in graph.vertices]
-                h = [_rational(rng) for _ in graph.edges]
+                # f and h are RATIONAL_SCALE times the sampled rationals: integer sums
+                scaled = _scaled_rationals(rng, len(graph.vertices) + len(graph.edges))
+                f, h = scaled[: len(graph.vertices)], scaled[len(graph.vertices) :]
+                lhs = Fraction(edge_inner(gradient(graph, f), h), RATIONAL_SCALE**2)
+                rhs = Fraction(vertex_inner(f, divergence(graph, h)), RATIONAL_SCALE**2)
             else:
                 f = list(rng.normal(size=len(graph.vertices)))
                 h = list(rng.normal(size=len(graph.edges)))
-            lhs = edge_inner(gradient(graph, f), h)
-            rhs = vertex_inner(f, divergence(graph, h))
+                lhs = edge_inner(gradient(graph, f), h)
+                rhs = vertex_inner(f, divergence(graph, h))
             tol = ZERO if exact else rc.tolerance
             return check_row(
                 f"adjoint-n{n}-{k:03d}",
@@ -552,15 +566,15 @@ def _suite_h1(rc: ResolvedConfig) -> List[CheckRow]:
     drift = rc.params["drift"]
     ball = TreeBall(2, 5)
     graph = tree_ball_graph(ball)
-    boundary = {i for i, v in enumerate(graph.vertices) if len(v) == ball.radius}
+    interior = [i for i, v in enumerate(graph.vertices) if len(v) < ball.radius]
 
     def coboundary_trial(k: int) -> CheckRow:
-        rng = _rng(rc, 0, k)
-        r = [
-            ZERO if i in boundary else _rational(rng) for i in range(len(graph.vertices))
-        ]
+        # the potential is RATIONAL_SCALE times a rational one, zero on the boundary
+        r = [0] * len(graph.vertices)
+        for i, x in zip(interior, _scaled_rationals(_rng(rc, 0, k), len(interior))):
+            r[i] = x
         _, remainder = harmonic_decompose(graph, gradient(graph, r))
-        norm2 = edge_inner(remainder, remainder)
+        norm2 = Fraction(edge_inner(remainder, remainder), RATIONAL_SCALE**2)
         inputs = {"seed": rc.seed, "trial": k}
         return check_row(f"coboundary-{k:02d}", inputs, norm2, norm2, rc.tolerance)
 
@@ -697,6 +711,8 @@ def _register(
     )
 
 
+EXACT_ROWS = "every row is exact, with tolerance 0"
+
 # Ranges cap every parameter that sets how much work a suite does, so no
 # run is unbounded; the others keep samplers inside their domains.
 _register(
@@ -747,6 +763,7 @@ _register(
     1e-9,
     Param("radius", int, 8, 1, 10),
     Param("word_length", int, 6, 1, 20),
+    fixed_tolerance=EXACT_ROWS,
 )
 _register(
     "length-recovery",
@@ -756,6 +773,7 @@ _register(
     1e-9,
     Param("n_max", int, 50, 2, 100),
     Param("word_length", int, 6, 1, 20),
+    fixed_tolerance=EXACT_ROWS,
 )
 _register(
     "sp-tau",
@@ -788,7 +806,7 @@ _register(
     "coboundary flows have zero harmonic part; the half-tree flow keeps norm across radii",
     10,
     1e-9,
-    Param("radii", int, (6, 8, 10), 1, 10, at_least=2),
+    Param("radii", int, (6, 8, 10), 1, 50, at_least=2),
     Param("floor", float, 0.1, 0.0, 1.0),
     Param("drift", float, 0.05, 0.0, 1.0),
 )
@@ -825,6 +843,7 @@ _register(
     100,
     1e-9,
     Param("size", int, 40, 2, 1000),
+    fixed_tolerance=EXACT_ROWS,
 )
 
 

@@ -31,7 +31,6 @@ from isoact.harmonic import (
     mean_value_laplacian,
     poisson_transform,
     root_mean,
-    single_edge_flow,
     subtree_flow_norms,
     tree_ball_graph,
     vertex_inner,
@@ -42,6 +41,14 @@ from isoact.treeball import TreeBall, common_prefix_length, cylinder_measure
 
 def rational_list(rng, count, span=6):
     return [Fraction(int(rng.integers(-span, span + 1)), int(rng.integers(1, 4))) for _ in range(count)]
+
+
+def single_edge_flow(graph, tail, head):
+    """Unit flow along one edge, zero elsewhere: the full-ball input of the radial oracle."""
+    e, sign = graph.edge_index(tail, head)
+    out = [Fraction(0)] * len(graph.edges)
+    out[e] = Fraction(sign)
+    return out
 
 
 def _solve_fraction_dense(rows, rhs):
@@ -323,9 +330,9 @@ class TestHarmonicDecompose:
 
     def test_subtree_flow_norm_approaches_half(self):
         norms = subtree_flow_norms(3, [4, 6])
-        assert norms[0] == pytest.approx(0.5, abs=2e-2)
-        assert norms[1] == pytest.approx(0.5, abs=2e-3)
-        assert abs(norms[0] - norms[1]) < 1e-2
+        assert norms == [Fraction(81, 160), Fraction(729, 1456)]
+        # on the 4-regular tree the excess over 1/2 is 1 / (2 (3^r - 1))
+        assert [x - Fraction(1, 2) for x in norms] == [Fraction(1, 160), Fraction(1, 1456)]
 
     def test_subtree_flow_exact_small(self):
         ball = TreeBall(2, 3)
@@ -334,6 +341,35 @@ class TestHarmonicDecompose:
         _, rem = harmonic_decompose(graph, flow)
         val = edge_inner(rem, rem)
         assert Fraction(1, 3) < val < Fraction(1, 2)
+
+
+def closed_form_flow_norm(n, r):
+    return Fraction((n - 1) * n**r, (n + 1) * (n**r - 1))
+
+
+class TestRadialFlowNorms:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_closed_form(self, n):
+        radii = list(range(1, 13))
+        assert subtree_flow_norms(n, radii) == [closed_form_flow_norm(n, r) for r in radii]
+
+    @pytest.mark.parametrize("n, r", [(2, r) for r in range(1, 7)] + [(3, r) for r in range(1, 6)])
+    def test_matches_full_ball_decomposition(self, n, r):
+        graph = tree_ball_graph(TreeBall(n, r))
+        _, rem = harmonic_decompose(graph, single_edge_flow(graph, (), (0,)))
+        (norm,) = subtree_flow_norms(n, [r])
+        assert isinstance(norm, Fraction)
+        assert norm == edge_inner(rem, rem)
+
+    def test_large_radius_without_a_ball(self):
+        # a radius-50 ball would have about 10^24 vertices
+        norms = subtree_flow_norms(3, [48, 50])
+        assert norms == [closed_form_flow_norm(3, 48), closed_form_flow_norm(3, 50)]
+
+    @pytest.mark.parametrize("n, radii", [(1, [3]), (0, [3]), (3, [0]), (3, [4, -1])])
+    def test_bad_tree_is_refused(self, n, radii):
+        with pytest.raises(ConstraintViolation):
+            subtree_flow_norms(n, radii)
 
 
 class TestTreeSolver:

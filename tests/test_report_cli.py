@@ -361,6 +361,17 @@ class TestRunCommand:
             resolve_config(SuiteConfig.make("traintrack", tolerance=5e-3))
         assert resolve_config(SuiteConfig.make("traintrack")).tolerance == 5e-3
 
+    @pytest.mark.parametrize("suite", ["translation-length", "length-recovery", "triangle"])
+    def test_exact_suites_refuse_a_tolerance(self, suite, tmp_path):
+        # every row is exact at tolerance 0, so a given tolerance would change only the digest
+        result = self.invoke("run", "--suite", suite, "--trials", "1", "--tol", "1e-3")
+        assert_one_error_line(result, "tolerance")
+        assert f"{suite}: a tolerance cannot be set; every row is exact" in result.output
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"suite": suite, "tolerance": 1e-3}))
+        assert_one_error_line(self.invoke("run", "--config", str(path)), "tolerance")
+        assert resolve_config(SuiteConfig.make(suite)).tolerance == 1e-9
+
 
 def assert_one_error_line(result, key):
     """Exit status 1 with a single ``Error:`` line naming ``key``, no traceback."""
