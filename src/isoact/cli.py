@@ -50,7 +50,7 @@ from .immobile import (
 )
 from .report import MAX_TRIALS, SuiteConfig, emit_report, render_report
 from .rtree import free_cayley_gamma, translation_length
-from .suites import run_suite, suite_names
+from .suites import REGISTRY, run_suite
 from .traintrack import CORPUS, TrackMetric, track_from_json, track_to_json
 from .treeball import (
     TreeBall,
@@ -128,6 +128,12 @@ def parse_schedule(text: str):
         raise ConfigError(f"schedule must be comma-separated integers, got {text!r}") from exc
 
 
+def suite_range(suite: str, name: str) -> click.IntRange:
+    """The range of a suite's integer parameter, for a probe option that sizes the same work."""
+    param = next(p for p in REGISTRY[suite].params if p.name == name)
+    return click.IntRange(param.low, param.high)
+
+
 def load_track(source: str):
     """Accept a corpus name, a JSON file path, or inline JSON."""
     if source in CORPUS:
@@ -160,13 +166,29 @@ def main():
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write report here.")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--list", "list_suites", is_flag=True, help="List registered suites and exit.")
+@click.option(
+    "--list", "list_suites", is_flag=True, help="List the suites with their parameters and exit."
+)
 @click.pass_context
 @guarded
 def run_command(ctx, suite, seed, trials, tol, out, fmt, config_path, list_suites):
     """Run one verification suite and emit its report."""
     if list_suites:
-        emit(suite_names())
+        emit(
+            {
+                name: {
+                    "checks": entry.description,
+                    "params": {
+                        p.name: {
+                            "default": str(p.default) if isinstance(p.default, Fraction) else p.default,
+                            "allowed": p.describe(),
+                        }
+                        for p in entry.params
+                    },
+                }
+                for name, entry in REGISTRY.items()
+            }
+        )
         return
     file_cfg = {}
     if config_path is not None:
@@ -485,15 +507,14 @@ def mobius_gram(g1, g2):
 @mobius.command(name="cocycle")
 @click.option("--g1", type=str, required=True)
 @click.option("--g2", type=str, required=True)
-@click.option("--degree", type=int, default=80, show_default=True)
-@click.option("--tol", type=float, default=1e-6, show_default=True)
+@click.option("--degree", type=suite_range("cocycle-law", "degree"), default=80, show_default=True)
 @guarded
-def mobius_cocycle(g1, g2, degree, tol):
+def mobius_cocycle(g1, g2, degree):
     """Truncated affine cocycle residual on the half-degree block."""
     a = su_from_json(parse_json(g1, "--g1"))
     b = su_from_json(parse_json(g2, "--g2"))
     residual = mo.affine_cocycle_residual(a, b, degree=degree)
-    emit({"residual": residual, "degree": degree, "verdict": "pass" if residual <= tol else "fail"})
+    emit({"residual": residual, "degree": degree})
 
 
 @mobius.command(name="length")
@@ -506,7 +527,7 @@ def mobius_length(g):
 
 @mobius.command(name="gns")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--size", type=int, default=8, show_default=True)
+@click.option("--size", type=suite_range("cpd-gns", "sample_size"), default=8, show_default=True)
 @guarded
 def mobius_gns(seed, size):
     """Embedding distances versus squared norms from the gram factorisation."""
@@ -524,7 +545,7 @@ def mobius_gns(seed, size):
 
 @mobius.command(name="probe")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--powers", type=int, default=20, show_default=True)
+@click.option("--powers", type=click.IntRange(4, MAX_TRIALS), default=20, show_default=True)
 @click.option("--slope-threshold", type=float, default=0.1, show_default=True)
 @guarded
 def mobius_probe(seed, powers, slope_threshold):

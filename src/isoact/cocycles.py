@@ -42,7 +42,6 @@ from .errors import (
 )
 from .exact import QComplex
 from .groups import FiniteMeasure, FreeWord, SpMatrix, SuMatrix
-from .mobius import gamma_vector, orthonormal_frame, pi_matrix
 
 # ---------------------------------------------------------------------------
 # Symplectic phase cocycle
@@ -105,21 +104,6 @@ def tau(g1: SpMatrix, g2: SpMatrix, margin: float = TAU_BRANCH_MARGIN) -> float:
         )
     eigenvalues = np.linalg.eigvals(defect)
     return float(np.sum(np.angle(eigenvalues)))
-
-
-def tau_det_arg(g1: SpMatrix, g2: SpMatrix) -> float:
-    """Independent route to the same scalar through determinants.
-
-    ``arg det`` of the defect matrix agrees with the eigenvalue sum
-    modulo ``2 pi``; under the branch guard they agree on the nose.
-    """
-    if g1.is_identity() or g2.is_identity():
-        return 0.0
-    p1 = _checked_phase(g1)
-    p2 = _checked_phase(g2)
-    p12 = _checked_phase(g1 * g2)
-    value = np.linalg.det(p12) / (np.linalg.det(p1) * np.linalg.det(p2))
-    return float(cmath.phase(value))
 
 
 def tau_cocycle_residual(g1: SpMatrix, g2: SpMatrix, g3: SpMatrix) -> float:
@@ -261,48 +245,6 @@ def sigma_convolution_residual(
     return abs(lhs - rhs)
 
 
-def sigma_gram_form(mu: FiniteMeasure, nu: FiniteMeasure) -> float:
-    """The same expectation through closed-form grams.
-
-    Each pair contributes ``Im <gamma(h^{-1}), gamma(g)>``, so the whole
-    sum is the imaginary pairing of the two averaged cocycle vectors.
-    """
-    from .mobius import gamma_gram
-
-    total = 0.0
-    for g, p in mu.atoms:
-        for h, q in nu.atoms:
-            total += float(p * q) * gamma_gram(h.inverse(), g).imag
-    return total
-
-
-def average_operator(mu: FiniteMeasure, degree: int = 60) -> np.ndarray:
-    """Average of the function-space operators over the measure.
-
-    Returned in the orthonormal frame, where each summand is a corner of
-    a unitary; the convex combination therefore has operator norm at
-    most one, up to truncation rounding.
-    """
-    out = None
-    for g, p in mu.atoms:
-        block = float(p) * orthonormal_frame(pi_matrix(g, degree))
-        out = block if out is None else out + block
-    if out is None:
-        raise ConstraintViolation("measure must have at least one atom")
-    return out
-
-
-def average_displacement_vector(mu: FiniteMeasure, degree: int = 60) -> np.ndarray:
-    """Average of the cocycle coefficient vectors over the measure."""
-    out = None
-    for g, p in mu.atoms:
-        vec = float(p) * gamma_vector(g, degree)
-        out = vec if out is None else out + vec
-    if out is None:
-        raise ConstraintViolation("measure must have at least one atom")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Exact symplectic pairing on complex lattices
 # ---------------------------------------------------------------------------
@@ -410,11 +352,6 @@ class StepAutomorphism:
         return self.compose(other, "left")
 
 
-def identity_step(level: int, unit) -> StepAutomorphism:
-    cells = 2**level
-    return StepAutomorphism(level, tuple(range(cells)), (unit,) * cells)
-
-
 def step_cocycle(
     f1: StepAutomorphism,
     f2: StepAutomorphism,
@@ -466,27 +403,3 @@ def random_step_automorphism(
     perm = tuple(int(i) for i in rng.permutation(cells))
     values = tuple(value_factory(rng) for _ in range(cells))
     return StepAutomorphism(level, perm, values)
-
-
-def step_to_json(f: StepAutomorphism, value_encoder: Callable[[object], object]) -> dict:
-    return {
-        "cells": 2**f.level,
-        "perm": list(f.perm),
-        "values": [value_encoder(v) for v in f.values],
-    }
-
-
-def step_from_json(data: dict, value_decoder: Callable[[object], object]) -> StepAutomorphism:
-    cells = data.get("cells")
-    if not isinstance(cells, int) or cells < 1 or cells & (cells - 1):
-        raise ConstraintViolation(f"cells must be a power of two, got {cells!r}")
-    level = cells.bit_length() - 1
-    perm = data.get("perm")
-    values = data.get("values")
-    if not isinstance(perm, list) or not isinstance(values, list):
-        raise ConstraintViolation("step descriptor needs 'perm' and 'values' lists")
-    return StepAutomorphism(
-        level,
-        tuple(int(i) for i in perm),
-        tuple(value_decoder(v) for v in values),
-    )

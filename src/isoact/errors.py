@@ -61,10 +61,6 @@ class TreeMismatch(IsoactError):
     """Edge vectors over different trees cannot be paired."""
 
 
-class OutsideDisc(IsoactError):
-    """A point expected inside the open unit disc is not."""
-
-
 class BranchGuard(IsoactError):
     """A principal-branch logarithm guard failed; input rejected."""
 

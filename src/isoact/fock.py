@@ -165,12 +165,6 @@ def exp_compose_residual(
     return float(np.linalg.norm(product[block] - direct[block]))
 
 
-def vacuum_column_norm(t: np.ndarray, gamma: np.ndarray, degree: int) -> float:
-    """Norm of the image of the vacuum; exactly 1 before truncation."""
-    mat = exp_matrix(t, gamma, degree)
-    return float(np.linalg.norm(mat[:, 0]))
-
-
 def haar_unitary(rng: np.random.Generator, dimension: int) -> np.ndarray:
     """Haar-distributed unitary via QR with the standard phase fix."""
     raw = rng.normal(size=(dimension, dimension)) + 1j * rng.normal(size=(dimension, dimension))

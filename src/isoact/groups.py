@@ -32,7 +32,7 @@ from .errors import (
     ConstraintViolation,
     GroupMismatch,
 )
-from .exact import QComplex, format_fraction, parse_fraction
+from .exact import QComplex, parse_fraction
 
 ComplexLike = Union[complex, QComplex]
 
@@ -132,20 +132,9 @@ def su_from_params(a: ComplexLike, b: ComplexLike) -> SuMatrix:
     return g
 
 
-def su_identity(exact: bool = False) -> SuMatrix:
-    if exact:
-        return SuMatrix(QComplex(1, 0), QComplex(0, 0))
-    return SuMatrix(complex(1.0), complex(0.0))
-
-
 def su_boost(t: float) -> SuMatrix:
     """Hyperbolic element ``(cosh t, sinh t)`` moving 0 to ``tanh t``."""
     return SuMatrix(complex(math.cosh(t)), complex(math.sinh(t)))
-
-
-def su_rotation(theta: float) -> SuMatrix:
-    """Elliptic element ``(e^{i theta}, 0)`` fixing the disc centre."""
-    return SuMatrix(cmath.exp(1j * theta), complex(0.0))
 
 
 def su_random(rng: np.random.Generator, max_ratio: float = 0.8) -> SuMatrix:
@@ -160,34 +149,6 @@ def su_random(rng: np.random.Generator, max_ratio: float = 0.8) -> SuMatrix:
     mod_a = 1.0 / math.sqrt(1.0 - w * w)
     mod_b = w * mod_a
     return SuMatrix(mod_a * cmath.exp(1j * phase_a), mod_b * cmath.exp(1j * phase_b))
-
-
-def su_rational_boost(t: Fraction) -> SuMatrix:
-    """Exact boost-like element ``a = (1+t^2)/(1-t^2)``, ``b = 2t/(1-t^2)``."""
-    t = Fraction(t)
-    if abs(t) >= 1:
-        raise ConstraintViolation("rational boost parameter must satisfy |t| < 1")
-    d = 1 - t * t
-    return su_from_params(QComplex((1 + t * t) / d, 0), QComplex(2 * t / d, 0))
-
-
-def su_rational_rotation(t: Fraction) -> SuMatrix:
-    """Exact elliptic element with ``a = ((1-t^2) + 2ti)/(1+t^2)``, ``b = 0``."""
-    t = Fraction(t)
-    d = 1 + t * t
-    return su_from_params(QComplex((1 - t * t) / d, 2 * t / d), QComplex(0, 0))
-
-
-def su_to_json(g: SuMatrix) -> dict:
-    if g.exact:
-        return {
-            "a": [format_fraction(g.a.re), format_fraction(g.a.im)],
-            "b": [format_fraction(g.b.re), format_fraction(g.b.im)],
-        }
-    return {
-        "a": [g.a.real, g.a.imag],
-        "b": [g.b.real, g.b.imag],
-    }
 
 
 def su_from_json(data: dict) -> SuMatrix:
@@ -211,9 +172,6 @@ def su_from_json(data: dict) -> SuMatrix:
 # ---------------------------------------------------------------------------
 # Sp(2n, R)
 # ---------------------------------------------------------------------------
-
-
-SP_CONSTRAINT_TOL = 1e-10
 
 
 def sp_form(n: int) -> np.ndarray:
@@ -253,34 +211,8 @@ class SpMatrix:
         return bool(np.array_equal(self.entries, np.eye(2 * self.n)))
 
 
-def sp_from_entries(entries, n: int | None = None) -> SpMatrix:
-    arr = np.asarray(entries, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] % 2 != 0:
-        raise ConstraintViolation(f"expected a square even-sized matrix, got shape {arr.shape}")
-    if n is None:
-        n = arr.shape[0] // 2
-    if arr.shape[0] != 2 * n:
-        raise ConstraintViolation(f"shape {arr.shape} does not match n={n}")
-    g = SpMatrix(arr, n)
-    defect = g.defect()
-    if defect > SP_CONSTRAINT_TOL:
-        raise ConstraintViolation(f"skew-form residual {defect:.3e} exceeds 1e-10")
-    return g
-
-
 def sp_identity(n: int) -> SpMatrix:
     return SpMatrix(np.eye(2 * n), n)
-
-
-def sp_rotation(theta: float) -> SpMatrix:
-    """Planar rotation ``(cos, sin; -sin, cos)`` in Sp(2, R)."""
-    c, s = math.cos(theta), math.sin(theta)
-    return SpMatrix(np.array([[c, s], [-s, c]]), 1)
-
-
-def sp_boost(t: float) -> SpMatrix:
-    """Diagonal element ``diag(e^t, e^{-t})`` in Sp(2, R)."""
-    return SpMatrix(np.diag([math.exp(t), math.exp(-t)]), 1)
 
 
 def sp_random(rng: np.random.Generator, n: int, scale: float = 0.4) -> SpMatrix:
@@ -402,10 +334,6 @@ def word_from_json(data: Sequence[int], rank: int) -> FreeWord:
     return free_reduce(data, rank)
 
 
-def word_to_json(w: FreeWord) -> list:
-    return list(w.letters)
-
-
 def random_word(rng: np.random.Generator, rank: int, length: int) -> FreeWord:
     """Uniform random reduced word of exactly ``length`` letters."""
     if length == 0:
@@ -509,14 +437,6 @@ class FiniteMeasure:
             raise ConstraintViolation(f"weights sum to {total}, expected exactly 1")
         return FiniteMeasure(atoms)
 
-    def support(self) -> Tuple[object, ...]:
-        return tuple(elem for elem, _ in self.atoms)
-
-
-def delta_measure(elem) -> FiniteMeasure:
-    """Point mass at ``elem``."""
-    return FiniteMeasure.from_atoms([(elem, Fraction(1))])
-
 
 def measure_convolve(
     mu: FiniteMeasure,
@@ -542,26 +462,3 @@ def measure_convolve(
                 raise GroupMismatch(f"atoms of type {type(g).__name__} have no product") from exc
             pairs.append((gh, p * q))
     return FiniteMeasure.from_atoms(pairs)
-
-
-def measure_to_json(mu: FiniteMeasure, elem_to_json: Callable[[object], object]) -> list:
-    return [
-        {"elem": elem_to_json(elem), "num": w.numerator, "den": w.denominator}
-        for elem, w in mu.atoms
-    ]
-
-
-def measure_from_json(data: Iterable[dict], elem_from_json: Callable[[object], object]) -> FiniteMeasure:
-    pairs = []
-    for entry in data:
-        if not isinstance(entry.get("num"), int) or not isinstance(entry.get("den"), int):
-            raise ConstraintViolation(f"measure weights must be integer num/den pairs: {entry!r}")
-        pairs.append((elem_from_json(entry["elem"]), Fraction(entry["num"], entry["den"])))
-    return FiniteMeasure.from_atoms(pairs)
-
-
-def random_rational_weights(rng: np.random.Generator, count: int) -> list[Fraction]:
-    """Random positive rationals summing to exactly 1."""
-    raw = [int(rng.integers(1, 10)) for _ in range(count)]
-    total = sum(raw)
-    return [Fraction(r, total) for r in raw]

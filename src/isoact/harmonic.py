@@ -34,7 +34,6 @@ from .errors import (
     NotZeroMean,
     SolveFailure,
     TreeMismatch,
-    VertexNotFound,
 )
 from .treeball import (
     Address,
@@ -59,10 +58,6 @@ class OrientedGraph:
     interior: Tuple[bool, ...]
 
     @cached_property
-    def index(self) -> Dict[object, int]:
-        return {v: i for i, v in enumerate(self.vertices)}
-
-    @cached_property
     def incident(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
         """Per vertex, the ``(edge_index, sign)`` pairs; sign +1 when the
         canonical orientation points into the vertex."""
@@ -74,17 +69,6 @@ class OrientedGraph:
 
     def degree(self, i: int) -> int:
         return len(self.incident[i])
-
-    def edge_index(self, u, v) -> Tuple[int, int]:
-        """Edge joining two vertices, as ``(index, sign)`` relative to the
-        orientation ``u -> v``."""
-        iu, iv = self.index[u], self.index[v]
-        for e, (t, h) in enumerate(self.edges):
-            if (t, h) == (iu, iv):
-                return e, +1
-            if (t, h) == (iv, iu):
-                return e, -1
-        raise VertexNotFound(f"no edge between {u} and {v}")
 
 
 def tree_ball_graph(ball: TreeBall) -> OrientedGraph:
@@ -381,12 +365,6 @@ def harmonic_decompose(graph: OrientedGraph, flow: Sequence):
     grad_u = gradient(graph, u)
     remainder = [x - y for x, y in zip(flow, grad_u)]
     return u, remainder
-
-
-def interior_divergence_max(graph: OrientedGraph, h: Sequence) -> float:
-    div = divergence(graph, h)
-    vals = [abs(float(div[i])) for i, flag in enumerate(graph.interior) if flag]
-    return max(vals) if vals else 0.0
 
 
 def subtree_flow_norms(n: int, radii: Sequence[int]) -> List[Fraction]:

@@ -5,7 +5,7 @@ and ``a_j m`` span an edge, so the graph metric is ``d(u, v) = |v u^{-1}|``
 and the window is the ball around the empty word in a ``2n``-regular
 tree.  Stripping the first letter moves one step toward the root, which
 makes the reversed letter sequence an address in the abstract rooted
-tree; :func:`window_tree_labels` realises that relabelling.
+tree.
 
 Sets of the form "all words carrying ``v`` as a suffix" are the
 subtrees of the window.  Their edge boundaries inside growing windows
@@ -28,7 +28,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 from .errors import ConstraintViolation, VertexNotFound
 from .groups import FreeWord, free_reduce, word_from_json
 from .harmonic import OrientedGraph
-from .treeball import TreeBall, require_ball_size, word_to_address
+from .treeball import require_ball_size
 
 
 @dataclass(frozen=True)
@@ -104,15 +104,6 @@ class CayleyWindow:
         edges = tuple((index[t], index[h]) for t, h in self.edges())
         interior = tuple(len(v.letters) < self.radius for v in vs)
         return OrientedGraph(tuple(vs), edges, interior)
-
-    def suffix_set(self, v: FreeWord) -> frozenset:
-        """All window words that end with ``v``: the subtree over ``v``."""
-        tail = v.letters
-        return frozenset(
-            m
-            for m in self.vertices()
-            if len(m.letters) >= len(tail) and m.letters[len(m.letters) - len(tail):] == tail
-        )
 
 
 def boundary_edge_count(window: CayleyWindow, subset: frozenset) -> int:
@@ -255,22 +246,3 @@ def immobile_function_test(
         else EnergyReport.GROWING
     )
     return EnergyReport(radii, tuple(sums), verdict)
-
-
-def window_tree_labels(window: CayleyWindow) -> Dict[FreeWord, Tuple[int, ...]]:
-    """Relabel window words as addresses in the abstract rooted tree.
-
-    Reversing a word turns prepended letters into appended ones, and the
-    reduction constraints coincide, so the reversed word's path is an
-    address in the ball of the ``2 rank``-regular tree.
-    """
-    ball = TreeBall(2 * window.rank - 1, window.radius)
-    out = {}
-    for m in window.vertices():
-        reversed_word = FreeWord(tuple(reversed(m.letters)), window.rank)
-        out[m] = word_to_address(reversed_word)
-    if len(set(out.values())) != len(out):
-        raise ConstraintViolation("relabelling collided; window inconsistent")
-    for address in out.values():
-        ball.require(address)
-    return out

@@ -31,39 +31,17 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import (
-    BranchGuard,
-    ConstraintViolation,
-    IllConditionedPhi,
-    OutsideDisc,
-)
+from .errors import ConstraintViolation, IllConditionedPhi
 from .exact import QComplex
 from .groups import SuMatrix
 
 # ---------------------------------------------------------------------------
-# Disc geometry
+# Closed forms
 # ---------------------------------------------------------------------------
-
-
-def poincare_distance(z1: complex, z2: complex) -> float:
-    """Hyperbolic distance in the unit disc (curvature -1 normalisation
-    with ``d(0, tanh t) = t``)."""
-    if abs(z1) >= 1 or abs(z2) >= 1:
-        raise OutsideDisc(f"points must lie strictly inside the disc: {z1}, {z2}")
-    num = abs(1 - z1.conjugate() * z2)
-    sep = abs(z2 - z1)
-    return 0.5 * math.log((num + sep) / (num - sep))
-
-
-def displacement(g: SuMatrix) -> float:
-    """``d(0, g 0) = log(|a| + |b|)``."""
-    a = g.a.to_complex() if g.exact else complex(g.a)
-    b = g.b.to_complex() if g.exact else complex(g.b)
-    return math.log(abs(a) + abs(b))
 
 
 def phi(g: SuMatrix) -> float:
@@ -133,20 +111,6 @@ def gamma_vector(g: SuMatrix, degree: int) -> np.ndarray:
     return out
 
 
-def gamma_eval(g: SuMatrix, z: complex) -> complex:
-    a = g.a.to_complex() if g.exact else complex(g.a)
-    b = g.b.to_complex() if g.exact else complex(g.b)
-    return b.conjugate() / (b.conjugate() * z + a.conjugate())
-
-
-def pi_eval(g: SuMatrix, f, z: complex) -> complex:
-    """Pointwise weight-two action on a callable function."""
-    a = g.a.to_complex() if g.exact else complex(g.a)
-    b = g.b.to_complex() if g.exact else complex(g.b)
-    denom = b.conjugate() * z + a.conjugate()
-    return f((a * z + b) / denom) / (denom * denom)
-
-
 def pi_matrix(g: SuMatrix, degree: int) -> np.ndarray:
     """Truncation of ``pi(g)`` on monomial coefficients up to ``z^degree``.
 
@@ -171,14 +135,6 @@ def pi_matrix(g: SuMatrix, degree: int) -> np.ndarray:
     return mat
 
 
-def orthonormal_frame(mat: np.ndarray) -> np.ndarray:
-    """Rescale a monomial-coefficient matrix to the orthonormal basis
-    ``sqrt(k+1) z^k``, in which ``pi(g)`` is unitary."""
-    n = mat.shape[0]
-    scale = np.sqrt(np.arange(1, n + 1))
-    return mat * (scale[None, :] / scale[:, None])
-
-
 def affine_cocycle_residual(g1: SuMatrix, g2: SuMatrix, degree: int = 120, rows: int | None = None) -> float:
     """Norm of ``gamma(g1 g2) - pi(g2) gamma(g1) - gamma(g2)``.
 
@@ -193,15 +149,6 @@ def affine_cocycle_residual(g1: SuMatrix, g2: SuMatrix, degree: int = 120, rows:
     v1 = gamma_vector(g1, degree)
     v2 = gamma_vector(g2, degree)
     defect = v12 - pi_matrix(g2, degree) @ v1 - v2
-    return math.sqrt(bergman_norm2(defect[: rows + 1]))
-
-
-def inverse_cocycle_residual(g: SuMatrix, degree: int = 120, rows: int | None = None) -> float:
-    """Norm of ``gamma(g^{-1}) + pi(g^{-1}) gamma(g)``; zero in theory."""
-    if rows is None:
-        rows = degree // 2
-    gi = g.inverse()
-    defect = gamma_vector(gi, degree) + pi_matrix(gi, degree) @ gamma_vector(g, degree)
     return math.sqrt(bergman_norm2(defect[: rows + 1]))
 
 
@@ -226,56 +173,6 @@ def hyperbolic_length(g: SuMatrix, tol: float = PARABOLIC_TOL) -> float:
     return math.log(half + math.sqrt(half * half - 1.0))
 
 
-def min_displacement_grid(g: SuMatrix, r_max: float = 0.95, nr: int = 40, ntheta: int = 160) -> float:
-    """Brute-force displacement minimum over a polar grid, for cross-checks.
-
-    Never below the true length; exceeds it only by the grid resolution
-    around the axis.
-    """
-    best = math.inf
-    for i in range(1, nr + 1):
-        r = r_max * i / nr
-        for j in range(ntheta):
-            z = r * cmath.exp(2j * math.pi * j / ntheta)
-            best = min(best, poincare_distance(z, g.mobius(z)))
-    return min(best, poincare_distance(0.0, g.mobius(0.0)))
-
-
-def conjugated_boost(u: SuMatrix, t: float) -> SuMatrix:
-    """``u boost(t) u^{-1}``: a hyperbolic element with translated axis."""
-    from .groups import su_boost
-
-    return u * su_boost(t) * u.inverse()
-
-
-def axis_distance_from_origin(u: SuMatrix) -> float:
-    """Distance from the origin to the axis of ``u boost u^{-1}``.
-
-    The axis is the image of the real diameter under ``u``.  In the
-    normalisation ``d(0, tanh t) = t`` the distance satisfies
-    ``sinh(2 d) = 2 |Im(conj(p) q)|`` for ``u = (p, q)``.
-    """
-    p = u.a.to_complex() if u.exact else complex(u.a)
-    q = u.b.to_complex() if u.exact else complex(u.b)
-    return 0.5 * math.asinh(2.0 * abs((p.conjugate() * q).imag))
-
-
-def length_deviation_sequence(g: SuMatrix, n_max: int) -> List[float]:
-    """``|gamma(g^n)|^2 - 2 n length(g)`` for ``n = 1 .. n_max``.
-
-    Stays bounded for hyperbolic ``g``: every term lies within
-    ``2 log 2 + 2 log cosh(2 d)`` of zero, where ``d`` is the distance
-    from the origin to the axis.
-    """
-    ell = hyperbolic_length(g)
-    out = []
-    power = g
-    for n in range(1, n_max + 1):
-        out.append(phi(power) - 2.0 * n * ell)
-        power = power * g
-    return out
-
-
 def power_growth(norms: Sequence[float]) -> Tuple[float, float]:
     """``(sup, slope)`` of a sequence: the slope is fitted over the last
     half, distinguishing linear growth from boundedness."""
@@ -292,11 +189,6 @@ def power_growth(norms: Sequence[float]) -> Tuple[float, float]:
 # ---------------------------------------------------------------------------
 # Conditionally negative kernels and the induced gram
 # ---------------------------------------------------------------------------
-
-
-def square_displacement(g: SuMatrix) -> float:
-    """``d(0, g 0)^2``; a kernel that fails conditional negativity."""
-    return displacement(g) ** 2
 
 
 def kernel_matrix(elements: Sequence[SuMatrix], kernel) -> np.ndarray:
@@ -350,16 +242,3 @@ def gns_vectors(gram: np.ndarray, tol: float = 1e-6) -> np.ndarray:
         raise IllConditionedPhi(f"gram eigenvalue {vals[0]:.3e} is negative beyond tolerance")
     clipped = np.clip(vals, 0.0, None)
     return vecs @ np.diag(np.sqrt(clipped))
-
-
-def branch_guard_ratio(g1: SuMatrix, g2: SuMatrix, margin: float = 1e-9) -> None:
-    """Assert the gram ratio keeps a margin from the branch cut.
-
-    The constraint makes ``|u| < 1`` automatic; this guard rejects inputs
-    so extreme that float rounding could push ``|u|`` to 1.
-    """
-    u = gram_ratio(g1, g2)
-    if isinstance(u, QComplex):
-        u = u.to_complex()
-    if abs(u) >= 1.0 - margin:
-        raise BranchGuard(f"|u| = {abs(u):.12f} leaves no branch margin")

@@ -187,14 +187,6 @@ def report_to_dict(report: Report) -> dict:
     }
 
 
-def report_from_dict(data: dict) -> Report:
-    rows = tuple(CheckRow(**row) for row in data["rows"])
-    report = Report(suite=data["suite"], digest=data["digest"], rows=rows)
-    if data.get("summary") != report.summary():
-        raise ConfigError("report summary does not match its rows")
-    return report
-
-
 def render_report(report: Report, fmt: str = "json") -> str:
     """Serialise a report; identical reports render to identical bytes."""
     if fmt == "json":
@@ -218,12 +210,3 @@ def emit_report(report: Report, fmt: str, path: str) -> None:
             handle.write(text)
     except OSError as exc:
         raise IoError(f"cannot write report to {path}: {exc}") from exc
-
-
-def load_report(path: str) -> Report:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return report_from_dict(json.load(handle))
-    except OSError as exc:
-        raise IoError(f"cannot read report from {path}: {exc}") from exc
-

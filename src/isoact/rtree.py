@@ -3,9 +3,8 @@
 The tree here is the right Cayley graph of a free group: vertices are
 reduced words, edges join ``m`` to ``m a_j``, and ``d(u, v) = |u^{-1} v|``.
 Left translation by any group element is an isometry of this tree.  Every
-nontrivial element is hyperbolic; its translation length and axis fall out
-of cyclic reduction, with an independent characterisation through
-``max(0, d(x, g^2 x) - d(x, g x))`` available from any basepoint.
+nontrivial element is hyperbolic; its translation length falls out of
+cyclic reduction.
 
 :class:`EdgeVector` realises the square-summable functions on edges.  The
 unit flow ``e(x, y)`` along a geodesic gives the cocycle of the action:
@@ -22,29 +21,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-from .errors import ConstraintViolation, WindowTooSmall
+from .errors import ConstraintViolation
 from .groups import FreeWord
 
 EdgeKey = Tuple[Tuple[int, ...], int]
 
 
-def word_distance(u: FreeWord, v: FreeWord) -> int:
-    return len(u.inverse() * v)
-
-
-def geodesic(x: FreeWord, y: FreeWord) -> List[FreeWord]:
-    """Vertices of the tree geodesic from ``x`` to ``y``, endpoints included."""
-    w = x.inverse() * y
-    out = [x]
-    for letter in w.letters:
-        out.append(out[-1] * FreeWord((letter,), x.rank))
-    return out
-
-
 # ---------------------------------------------------------------------------
-# Translation length and axes
+# Translation length
 # ---------------------------------------------------------------------------
 
 
@@ -52,62 +38,6 @@ def translation_length(g: FreeWord) -> int:
     """Minimal displacement of left translation by ``g``; the core length."""
     core, _ = g.cyclic_reduce()
     return len(core)
-
-
-def translation_length_from_basepoint(g: FreeWord, x: FreeWord) -> int:
-    """``max(0, d(x, g^2 x) - d(x, g x))``, basepoint independent."""
-    return max(0, word_distance(x, g * g * x) - word_distance(x, g * x))
-
-
-def axis_point(g: FreeWord, x: Optional[FreeWord] = None) -> FreeWord:
-    """A vertex on the axis of ``g``: the midpoint burst of ``[x, g x]``.
-
-    The point at distance ``(d(x, gx) - l(g)) / 2`` from ``x`` along the
-    geodesic to ``g x`` lies on the axis.  From the identity this is the
-    conjugating prefix of the cyclic reduction.
-    """
-    if len(g) == 0:
-        raise ConstraintViolation("the identity has no axis")
-    if x is None:
-        x = FreeWord((), g.rank)
-    d = word_distance(x, g * x)
-    ell = translation_length(g)
-    offset = (d - ell) // 2
-    return geodesic(x, g * x)[offset]
-
-
-# ---------------------------------------------------------------------------
-# Finite tree isometries (the non-hyperbolic cases)
-# ---------------------------------------------------------------------------
-
-
-def classify_finite_tree_isometry(
-    edges: Sequence[Tuple[int, int]], perm: Sequence[int]
-) -> Tuple[str, object]:
-    """Classify an automorphism of a finite tree.
-
-    ``edges`` lists the tree edges over vertices ``0 .. len(perm) - 1`` and
-    ``perm`` the vertex images.  A finite tree admits no hyperbolic
-    isometries: the result is ``("elliptic", fixed_vertex)`` or
-    ``("inversion", (u, v))`` with the fixed point at the midpoint of the
-    swapped edge.
-    """
-    m = len(perm)
-    if sorted(perm) != list(range(m)):
-        raise ConstraintViolation("perm is not a permutation of the vertices")
-    edge_set = {frozenset(e) for e in edges}
-    if len(edge_set) != m - 1:
-        raise ConstraintViolation("edge list does not describe a tree on these vertices")
-    for u, v in edges:
-        if frozenset((perm[u], perm[v])) not in edge_set:
-            raise ConstraintViolation(f"images of edge ({u}, {v}) are not adjacent")
-    for v in range(m):
-        if perm[v] == v:
-            return ("elliptic", v)
-    for u, v in edges:
-        if perm[u] == v and perm[v] == u:
-            return ("inversion", (min(u, v), max(u, v)))
-    raise ConstraintViolation("no fixed vertex or inverted edge; input is not a tree automorphism")
 
 
 # ---------------------------------------------------------------------------
@@ -183,19 +113,6 @@ class EdgeVector:
             out[key] = out.get(key, Fraction(0)) + sign * v
         return EdgeVector.from_dict(self.rank, out)
 
-    def support_radius(self) -> int:
-        """Largest distance from the identity vertex touched by the support."""
-        best = 0
-        for (letters, _j), _v in self.coeffs:
-            best = max(best, len(letters) + 1)
-        return best
-
-    def require_window(self, radius: int) -> None:
-        if self.support_radius() > radius:
-            raise WindowTooSmall(
-                f"support reaches distance {self.support_radius()} > window radius {radius}"
-            )
-
 
 def unit_flow(x: FreeWord, y: FreeWord) -> EdgeVector:
     """The unit flow ``e(x, y)`` along the geodesic from ``x`` to ``y``."""
@@ -218,11 +135,6 @@ def flow_cocycle(g: FreeWord) -> EdgeVector:
 def cocycle_defect(g1: FreeWord, g2: FreeWord) -> EdgeVector:
     """``gamma(g1 g2) - translate(g1) gamma(g2) - gamma(g1)``; zero always."""
     return flow_cocycle(g1 * g2) - flow_cocycle(g2).translate(g1) - flow_cocycle(g1)
-
-
-def triangle_defect(x: FreeWord, y: FreeWord, z: FreeWord) -> EdgeVector:
-    """``e(x,y) + e(y,z) + e(z,x)``; flows around a tree triangle cancel."""
-    return unit_flow(x, y) + unit_flow(y, z) + unit_flow(z, x)
 
 
 # ---------------------------------------------------------------------------
@@ -317,30 +229,6 @@ def _check_alpha(rank: int, alpha: int) -> None:
         raise ConstraintViolation(f"alpha must lie in 1 .. {rank}, got {alpha}")
 
 
-def distinguished_projection(v: EdgeVector, alpha: int) -> EdgeVector:
-    """Drop every edge whose label exceeds ``alpha``.
-
-    Left translation preserves edge labels, so this projection commutes
-    with :meth:`EdgeVector.translate` and sends cocycles to cocycles.
-    """
-    _check_alpha(v.rank, alpha)
-    return EdgeVector.from_dict(v.rank, {k: c for k, c in v.coeffs if k[1] <= alpha})
-
-
-def coset_representative(u: FreeWord, alpha: int) -> FreeWord:
-    """Shortest word reached from ``u`` along collapsed edges.
-
-    Strips the maximal suffix of letters outside the first ``alpha``
-    generators; the results are exactly the vertices of the collapsed
-    tree, one per collapsed component.
-    """
-    _check_alpha(u.rank, alpha)
-    letters = list(u.letters)
-    while letters and abs(letters[-1]) > alpha:
-        letters.pop()
-    return FreeWord(tuple(letters), u.rank)
-
-
 def free_cayley_gamma(g: FreeWord, alpha: int) -> EdgeVector:
     """Cocycle of the collapsed-tree action, read off the reduced word.
 
@@ -362,33 +250,6 @@ def free_cayley_gamma(g: FreeWord, alpha: int) -> EdgeVector:
                 out[(tuple(prefix) + (letter,), -letter)] = Fraction(-1)
         prefix.append(letter)
     return EdgeVector.from_dict(g.rank, out)
-
-
-def collapsed_cocycle_defect(g1: FreeWord, g2: FreeWord, alpha: int) -> EdgeVector:
-    """Cocycle identity defect for the collapsed tree; zero always."""
-    return (
-        free_cayley_gamma(g1 * g2, alpha)
-        - free_cayley_gamma(g2, alpha).translate(g1)
-        - free_cayley_gamma(g1, alpha)
-    )
-
-
-def coset_path(g: FreeWord, alpha: int) -> List[FreeWord]:
-    """Vertices of the collapsed tree visited on the way from ``o`` to ``g o``.
-
-    Tracks the component representative along the word and records each
-    change.  The path never revisits a vertex, and its step count equals
-    the number of distinguished letters in ``g``.
-    """
-    _check_alpha(g.rank, alpha)
-    path = [FreeWord((), g.rank)]
-    prefix: List[int] = []
-    for letter in g.letters:
-        prefix.append(letter)
-        rep = coset_representative(FreeWord(tuple(prefix), g.rank), alpha)
-        if rep != path[-1]:
-            path.append(rep)
-    return path
 
 
 def power_norm_deviation(g: FreeWord, n: int, scale: Fraction = Fraction(1)) -> Fraction:

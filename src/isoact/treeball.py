@@ -8,17 +8,17 @@ their path from the root: the root is ``()``, its ``n + 1`` children are
 points, which is enough resolution for the visual metric and the canonical
 measure at the scales the ball can see.
 
-The second half of the module realises the same combinatorics from two
-concrete group actions: free groups acting on their Cayley trees, and
-2x2 rational matrices acting on homothety classes of lattices (the tree of
-``PGL_2`` over the ``p``-adics).  Both produce :class:`TreeAutomorphism`
-windows on which the boundary derivative can be read off.
+The second half of the module measures distances between homothety
+classes of lattices (the tree of ``PGL_2`` over the ``p``-adics), and
+realises a free group acting on its Cayley tree as
+:class:`TreeAutomorphism` windows on which the boundary derivative can be
+read off.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
@@ -127,13 +127,6 @@ class TreeBall:
     def require(self, v: Address) -> None:
         if not self.contains(v):
             raise VertexNotFound(f"address {v} is not in the ball (n={self.n}, radius={self.radius})")
-
-    def neighbors(self, v: Address) -> List[Address]:
-        self.require(v)
-        out = self.children(v)
-        if v:
-            out.append(self.parent(v))
-        return out
 
     def is_interior(self, v: Address) -> bool:
         """Whether all ``n + 1`` neighbours of ``v`` lie in the ball."""
@@ -258,64 +251,6 @@ def lattice_distance(m1, m2, p: int) -> int:
     return int(dv - 2 * mv)
 
 
-def lattice_neighbor_steps(p: int) -> List[Matrix2]:
-    """The ``p + 1`` index-``p`` sublattice steps, in canonical order.
-
-    These are the sublattices between ``p Z^2`` and ``Z^2``: the span of
-    ``(p e_1 + 0, k e_1 + e_2)`` for each ``k < p``, and ``(e_1, p e_2)``.
-    """
-    steps = [_mat(((p, k), (0, 1))) for k in range(p)]
-    steps.append(_mat(((1, 0), (0, p))))
-    return steps
-
-
-@dataclass
-class LatticeBall:
-    """BFS window of lattice classes around the standard class.
-
-    Classes are enumerated outward from ``[Z_p^2]`` in the canonical step
-    order, which matches the addressing of ``TreeBall(n=p, radius)`` vertex
-    for vertex.
-    """
-
-    p: int
-    radius: int
-    ball: TreeBall = field(init=False)
-    reps: Dict[Address, Matrix2] = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.ball = TreeBall(self.p, self.radius)
-        steps = lattice_neighbor_steps(self.p)
-        reps: Dict[Address, Matrix2] = {(): _mat(((1, 0), (0, 1)))}
-        frontier: List[Address] = [()]
-        for _ in range(self.radius):
-            nxt: List[Address] = []
-            for v in frontier:
-                children = self.ball.children(v)
-                fresh: List[Matrix2] = []
-                for step in steps:
-                    cand = mat_mul(reps[v], step)
-                    if v and lattice_distance(cand, reps[self.ball.parent(v)], self.p) == 0:
-                        continue
-                    fresh.append(cand)
-                if len(fresh) != len(children):
-                    raise ConstraintViolation(
-                        f"expected {len(children)} fresh neighbours, found {len(fresh)}"
-                    )
-                for addr, rep in zip(children, fresh):
-                    reps[addr] = rep
-                    nxt.append(addr)
-            frontier = nxt
-        self.reps = reps
-
-    def address_of(self, m) -> Address:
-        m = _mat(m)
-        for addr, rep in self.reps.items():
-            if lattice_distance(m, rep, self.p) == 0:
-                return addr
-        raise VertexNotFound("lattice class lies outside this window")
-
-
 # ---------------------------------------------------------------------------
 # Tree automorphisms given extensionally on a window
 # ---------------------------------------------------------------------------
@@ -390,7 +325,7 @@ def boundary_derivative(auto: TreeAutomorphism, end: Address, stable_steps: int 
 
 
 # ---------------------------------------------------------------------------
-# Windows from free-group and lattice actions
+# Windows from free-group actions
 # ---------------------------------------------------------------------------
 
 def _letter_order(rank: int) -> List[int]:
@@ -444,18 +379,3 @@ def freeword_automorphism(g: FreeWord, radius: int) -> TreeAutomorphism:
         if len(img) <= radius:
             mapping[v] = word_to_address(img)
     return TreeAutomorphism(ball, mapping)
-
-
-def matrix_automorphism(g, lattice_ball: LatticeBall) -> TreeAutomorphism:
-    """Left multiplication by a rational matrix on a lattice-class window."""
-    g = _mat(g)
-    if mat_det(g) == 0:
-        raise SingularLattice("automorphism matrix is singular")
-    mapping: Dict[Address, Address] = {}
-    for addr, rep in lattice_ball.reps.items():
-        cand = mat_mul(g, rep)
-        try:
-            mapping[addr] = lattice_ball.address_of(cand)
-        except VertexNotFound:
-            continue
-    return TreeAutomorphism(lattice_ball.ball, mapping)

@@ -15,26 +15,26 @@ from isoact.groups import (
     FiniteMeasure,
     FreeWord,
     SpMatrix,
-    delta_measure,
     free_reduce,
-    measure_convolve,
-    random_rational_weights,
-    sp_boost,
     sp_identity,
     sp_random,
-    sp_rotation,
     su_boost,
-    su_from_json,
     su_random,
+)
+from isoact.mobius import gamma_gram, gamma_vector, pi_matrix
+from isoact.report import SuiteConfig, check_row, unresolved_row
+from isoact.suites import REGISTRY, SP_TAU_STACK, resolve_config
+
+from builders import (
+    delta_measure,
+    orthonormal_frame,
+    random_rational_weights,
+    sp_boost,
+    sp_rotation,
     su_rational_boost,
     su_rational_rotation,
     su_rotation,
-    su_to_json,
-    word_from_json,
-    word_to_json,
 )
-from isoact.report import SuiteConfig, check_row, unresolved_row
-from isoact.suites import REGISTRY, SP_TAU_STACK, resolve_config
 
 
 def random_measure(rng, elements):
@@ -76,12 +76,22 @@ def test_tau_near_identity_honest_path():
     assert abs(co.tau(g1, g2)) < 1e-12
 
 
+def tau_det_arg(g1, g2):
+    """Independent route to ``tau`` through determinants.
+
+    ``arg det`` of the defect matrix agrees with the eigenvalue sum
+    modulo ``2 pi``; under the branch guard they agree on the nose.
+    """
+    p1, p2, p12 = (co.phase_factor(g) for g in (g1, g2, g1 * g2))
+    return cmath.phase(np.linalg.det(p12) / (np.linalg.det(p1) * np.linalg.det(p2)))
+
+
 def test_tau_matches_determinant_route():
     for i in range(50):
         rng = np.random.default_rng([41, i])
         for n in (1, 2):
             g1, g2 = sp_random(rng, n), sp_random(rng, n)
-            assert abs(co.tau(g1, g2) - co.tau_det_arg(g1, g2)) < 1e-10
+            assert abs(co.tau(g1, g2) - tau_det_arg(g1, g2)) < 1e-10
 
 
 def test_tau_frozen_value():
@@ -282,12 +292,25 @@ def test_sigma_swapped_orientation_fails():
     assert co.sigma_convolution_residual(mu, nu, rho, pair=swapped) > 0.01
 
 
+def sigma_gram_form(mu, nu):
+    """``sigma_measures`` through closed-form grams.
+
+    Each pair contributes ``Im <gamma(h^{-1}), gamma(g)>``, so the whole
+    sum is the imaginary pairing of the two averaged cocycle vectors.
+    """
+    total = 0.0
+    for g, p in mu.atoms:
+        for h, q in nu.atoms:
+            total += float(p * q) * gamma_gram(h.inverse(), g).imag
+    return total
+
+
 def test_sigma_matches_gram_form():
     for seed in range(6):
         mu = random_su_measure([71, seed, 0], 3)
         nu = random_su_measure([71, seed, 1], 3)
         direct = co.sigma_measures(mu, nu)
-        assert abs(direct - co.sigma_gram_form(mu, nu)) < 1e-12
+        assert abs(direct - sigma_gram_form(mu, nu)) < 1e-12
         assert isinstance(direct, float)
 
 
@@ -313,22 +336,37 @@ def test_sigma_orthogonal_rejects_wrong_atoms():
         co.sigma_pair_orthogonal(su_boost(1.0), su_boost(2.0))
 
 
+# Averages of the disc action over a measure, which no suite forms yet; kept with their tests.
+
+
+def average_operator(mu, degree=60):
+    """Average of the truncated function-space operators, in the orthonormal frame.
+
+    Each summand is a corner of a unitary there, so the convex combination
+    has operator norm at most one, up to truncation rounding.
+    """
+    return sum(float(p) * orthonormal_frame(pi_matrix(g, degree)) for g, p in mu.atoms)
+
+
+def average_displacement_vector(mu, degree=60):
+    """Average of the cocycle coefficient vectors over the measure."""
+    return sum(float(p) * gamma_vector(g, degree) for g, p in mu.atoms)
+
+
 def test_average_operator_contraction():
     for seed in range(5):
         mu = random_su_measure([73, seed], 3, max_ratio=0.6)
-        norm = float(np.linalg.norm(co.average_operator(mu, 50), 2))
+        norm = float(np.linalg.norm(average_operator(mu, 50), 2))
         assert norm <= 1.0 + 1e-10
     spread = FiniteMeasure.from_atoms(
         [(su_boost(0.9), Fraction(1, 2)), (su_rotation(2.0) * su_boost(0.9), Fraction(1, 2))]
     )
-    assert float(np.linalg.norm(co.average_operator(spread, 50), 2)) < 0.99
+    assert float(np.linalg.norm(average_operator(spread, 50), 2)) < 0.99
 
 
 def test_average_displacement_of_delta():
-    from isoact.mobius import gamma_vector
-
     g = su_rotation(0.4) * su_boost(0.7)
-    vec = co.average_displacement_vector(delta_measure(g), 40)
+    vec = average_displacement_vector(delta_measure(g), 40)
     assert np.abs(vec - gamma_vector(g, 40)).max() < 1e-15
 
 
@@ -417,7 +455,7 @@ def test_step_associativity_both_conventions():
 def test_step_identity_neutral():
     rng = np.random.default_rng(89)
     f = random_word_step(rng, 2)
-    e = co.identity_step(1, FreeWord((), 2))
+    e = co.StepAutomorphism(1, (0, 1), (FreeWord((), 2),) * 2)
     assert e * f == f
     assert f * e == f
 
@@ -443,22 +481,3 @@ def test_step_cocycle_identity_with_phase_values():
         assert co.step_cocycle_residual(f1, f2, f3, co.tau) <= 1e-9
         magnitudes.append(abs(co.step_cocycle(f1, f2, co.tau)))
     assert max(magnitudes) > 1e-3
-
-
-def test_step_json_round_trip():
-    f = co.StepAutomorphism(
-        1, (1, 0), (su_rational_boost(Fraction(1, 3)), su_rational_rotation(Fraction(1, 2)))
-    )
-    data = co.step_to_json(f, su_to_json)
-    back = co.step_from_json(data, su_from_json)
-    assert back == f
-
-    g = co.StepAutomorphism(1, (0, 1), (word(1, 2), word(-2)))
-    data = co.step_to_json(g, word_to_json)
-    back = co.step_from_json(data, lambda v: word_from_json(v, 2))
-    assert back == g
-
-
-def test_step_json_rejects_bad_cells():
-    with pytest.raises(ConstraintViolation):
-        co.step_from_json({"cells": 3, "perm": [0, 1, 2], "values": [1, 2, 3]}, lambda v: v)

@@ -86,7 +86,9 @@ def test_vacuum_norm_is_one():
     for dimension, degree in [(1, 12), (2, 10), (3, 8)]:
         t = fo.haar_unitary(rng, dimension)
         gamma = fo.random_translation(rng, dimension)
-        assert abs(fo.vacuum_column_norm(t, gamma, degree) - 1.0) < 1e-10
+        # the image of the vacuum has norm exactly 1 before truncation
+        vacuum_image = fo.exp_matrix(t, gamma, degree)[:, 0]
+        assert abs(float(np.linalg.norm(vacuum_image)) - 1.0) < 1e-10
 
 
 def test_truncation_is_isometric_on_low_degrees():

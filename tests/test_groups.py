@@ -14,31 +14,30 @@ from isoact.groups import (
     FiniteMeasure,
     FreeWord,
     PAdicScalar,
-    delta_measure,
     free_reduce,
     measure_convolve,
-    measure_from_json,
-    measure_to_json,
     padic_valuation,
-    random_rational_weights,
     random_word,
-    sp_boost,
     sp_form,
-    sp_from_entries,
     sp_identity,
     sp_random,
-    sp_rotation,
     su_boost,
     su_from_json,
     su_from_params,
-    su_identity,
     su_random,
+    word_from_json,
+)
+
+from builders import (
+    delta_measure,
+    random_rational_weights,
+    sp_boost,
+    sp_rotation,
+    su_identity,
     su_rational_boost,
     su_rational_rotation,
     su_rotation,
     su_to_json,
-    word_from_json,
-    word_to_json,
 )
 
 
@@ -119,10 +118,6 @@ class TestSuMatrix:
 
 
 class TestSpMatrix:
-    def test_form_residual_enforced(self):
-        with pytest.raises(ConstraintViolation):
-            sp_from_entries(np.diag([2.0, 1.0]))
-
     def test_rotation_boost_valid(self):
         assert sp_rotation(0.8).defect() < 1e-14
         assert sp_boost(1.2).defect() < 1e-14
@@ -237,7 +232,7 @@ class TestFreeWord:
 
     def test_json(self):
         w = word_from_json([1, -2, 1], 2)
-        assert word_to_json(w) == [1, -2, 1]
+        assert list(w.letters) == [1, -2, 1]
 
 
 class TestPAdic:
@@ -254,6 +249,25 @@ class TestPAdic:
     def test_prime_required(self):
         with pytest.raises(ConstraintViolation):
             PAdicScalar(Fraction(1), 6)
+
+
+# A JSON form of measures that no command reads or writes yet, kept with its tests.
+
+
+def measure_to_json(mu: FiniteMeasure, elem_to_json) -> list:
+    return [
+        {"elem": elem_to_json(elem), "num": w.numerator, "den": w.denominator}
+        for elem, w in mu.atoms
+    ]
+
+
+def measure_from_json(data, elem_from_json) -> FiniteMeasure:
+    pairs = []
+    for entry in data:
+        if not isinstance(entry.get("num"), int) or not isinstance(entry.get("den"), int):
+            raise ConstraintViolation(f"measure weights must be integer num/den pairs: {entry!r}")
+        pairs.append((elem_from_json(entry["elem"]), Fraction(entry["num"], entry["den"])))
+    return FiniteMeasure.from_atoms(pairs)
 
 
 class TestFiniteMeasure:
@@ -276,7 +290,7 @@ class TestFiniteMeasure:
         mu = FiniteMeasure.from_atoms([(a, Fraction(1, 2)), (a.inverse(), Fraction(1, 2))])
         nu = measure_convolve(mu, mu)
         # a*a, a*a^-1 = e (twice), a^-1*a^-1
-        weights = dict((tuple(word_to_json(e)), w) for e, w in nu.atoms)
+        weights = dict((e.letters, w) for e, w in nu.atoms)
         assert weights[()] == Fraction(1, 2)
         assert weights[(1, 1)] == Fraction(1, 4)
         assert weights[(-1, -1)] == Fraction(1, 4)
@@ -300,7 +314,7 @@ class TestFiniteMeasure:
         mu = FiniteMeasure.from_atoms(
             [(free_reduce([1], 2), Fraction(1, 3)), (free_reduce([-2], 2), Fraction(2, 3))]
         )
-        data = measure_to_json(mu, word_to_json)
+        data = measure_to_json(mu, lambda w: list(w.letters))
         back = measure_from_json(data, lambda d: word_from_json(d, 2))
         assert back == mu
 

@@ -16,10 +16,10 @@ from isoact.immobile import (
     gamma_difference,
     immobile_function_test,
     parity_indicator,
+    subset_from_json,
     suffix_indicator,
-    window_tree_labels,
 )
-from isoact.treeball import TreeBall
+from isoact.treeball import TreeBall, word_to_address
 
 
 def word(*letters, rank=2):
@@ -100,12 +100,17 @@ def test_require_outside():
         w.require(word(1, 2, 1))
 
 
+def suffix_set(window, *letters):
+    """The window words ending with ``letters``: the subtree over that word."""
+    return subset_from_json(window, {"kind": "suffix", "v": list(letters)})
+
+
 def test_suffix_set_sizes_and_nesting():
     w = CayleyWindow(2, 4)
-    x1 = w.suffix_set(word(1))
+    x1 = suffix_set(w, 1)
     # depth k >= 1 contributes 3^(k-1) words ending in the fixed letter
     assert len(x1) == 1 + 3 + 9 + 27
-    x21 = w.suffix_set(word(2, 1))
+    x21 = suffix_set(w, 2, 1)
     assert x21 <= x1
     assert len(x21) == 1 + 3 + 9
 
@@ -113,9 +118,9 @@ def test_suffix_set_sizes_and_nesting():
 def test_subtree_boundary_is_one_edge():
     for radius in (2, 3, 4):
         w = CayleyWindow(2, radius)
-        assert boundary_edge_count(w, w.suffix_set(word(1))) == 1
+        assert boundary_edge_count(w, suffix_set(w, 1)) == 1
     w = CayleyWindow(2, 4)
-    assert boundary_edge_count(w, w.suffix_set(word(2, 1))) == 1
+    assert boundary_edge_count(w, suffix_set(w, 2, 1)) == 1
 
 
 def test_parity_boundary_is_everything():
@@ -196,6 +201,17 @@ def test_window_graph_flags():
     for i, v in enumerate(graph.vertices):
         assert graph.interior[i] == (len(v.letters) < 3)
         assert graph.degree(i) == (4 if graph.interior[i] else 1)
+
+
+def window_tree_labels(window):
+    """Relabel window words as addresses in the abstract rooted tree.
+
+    Reversing a word turns prepended letters into appended ones, and the
+    reduction constraints coincide, so the reversed word's path is an
+    address in the ball of the ``2 rank``-regular tree: an independent
+    model of the window's vertices and metric.
+    """
+    return {m: word_to_address(FreeWord(m.letters[::-1], window.rank)) for m in window.vertices()}
 
 
 def test_tree_relabelling_is_isometric():

@@ -1,5 +1,6 @@
 """What importing isoact does: every name a module under ``src/isoact``
-imports is used in that module, and the native thread pools are pinned."""
+imports is used in that module, every definition there is reachable from
+what the package runs, and the native thread pools are pinned."""
 
 import ast
 import os
@@ -63,6 +64,127 @@ def test_no_unused_imports(path):
 def test_scan_sees_a_dead_import():
     tree = ast.parse("from typing import List, Tuple\nimport os\nx: 'Tuple[int]' = ()\n")
     assert imported_names(tree) - used_names(tree) == {"List", "os"}
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def referenced_names(node: ast.AST) -> set:
+    """Names and attribute names loaded anywhere under ``node``."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+    return out
+
+
+def is_command(node: ast.AST) -> bool:
+    """A function registered with click by ``@<group>.command`` or ``@<group>.group``."""
+    for decorator in getattr(node, "decorator_list", ()):
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if isinstance(target, ast.Attribute) and target.attr in ("command", "group"):
+            return True
+    return False
+
+
+def unreachable(modules: dict) -> list:
+    """Definitions in ``modules`` (name to parsed module) that nothing the package runs reaches.
+
+    The roots are the names in ``__init__``'s ``__all__``, the click commands
+    of ``cli``, and every module-level statement that is not a definition:
+    those run on import, and in ``suites`` they register the suites.  From a
+    reached function or class, every name and attribute name it loads reaches
+    the top-level definitions of that name in any module, and the methods of
+    that name of reached classes; a reached class also reaches its dunder
+    methods.  Reported are top-level functions and classes, and the public
+    methods of reached classes, as ``module.Name`` or ``module.Class.method``.
+    """
+    defs = {}
+    names = set()
+    for module, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, (ast.ClassDef, *FUNCTIONS)):
+                defs[(module, node.name)] = node
+                if module == "cli" and is_command(node):
+                    names.add(node.name)
+                if isinstance(node, ast.ClassDef):
+                    for sub in node.body:
+                        if isinstance(sub, FUNCTIONS):
+                            defs[(module, f"{node.name}.{sub.name}")] = sub
+            else:
+                names |= referenced_names(node)
+        if module == "__init__":
+            names |= exported_names(tree)
+    reached = set()
+    grew = True
+    while grew:
+        grew = False
+        for (module, qualname), node in defs.items():
+            if (module, qualname) in reached:
+                continue
+            owner, _, method = qualname.rpartition(".")
+            if owner:
+                if (module, owner) not in reached:
+                    continue
+                if method not in names and not (method.startswith("__") and method.endswith("__")):
+                    continue
+                names |= referenced_names(node)
+            elif qualname not in names:
+                continue
+            elif isinstance(node, ast.ClassDef):
+                # the class body and decorators run on definition; methods only when reached
+                for part in node.bases + node.decorator_list + node.body:
+                    if isinstance(part, FUNCTIONS):
+                        for decorator in part.decorator_list:
+                            names |= referenced_names(decorator)
+                    else:
+                        names |= referenced_names(part)
+            else:
+                names |= referenced_names(node)
+            reached.add((module, qualname))
+            grew = True
+    out = []
+    for (module, qualname) in defs:
+        owner, _, method = qualname.rpartition(".")
+        if (module, qualname) in reached:
+            continue
+        if owner and ((module, owner) not in reached or method.startswith("_")):
+            continue
+        out.append(f"{module}.{qualname}")
+    return sorted(out)
+
+
+def test_every_definition_is_reachable():
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    dead = unreachable(modules)
+    assert not dead, (
+        "definitions under src/isoact that no suite, cli command or isoact.__all__ "
+        f"reaches; move test-only code into tests/ or delete it: {dead}"
+    )
+
+
+def test_scan_sees_a_dead_function():
+    modules = {
+        "__init__": ast.parse("from .m import Shown\n__all__ = ['Shown']\n"),
+        "cli": ast.parse(
+            "@main.command()\ndef probe():\n    return helper()\n"
+            "def helper():\n    return Shown().used()\n"
+        ),
+        "suites": ast.parse("REGISTRY = {'s': run_s}\ndef run_s():\n    return 0\n"),
+        "m": ast.parse(
+            "class Shown:\n"
+            "    def __eq__(self, other):\n        return twin()\n"
+            "    def used(self):\n        return 1\n"
+            "    def unused(self):\n        return dead()\n"
+            "    def _private(self):\n        return 2\n"
+            "def twin():\n    return 3\n"
+            "def dead():\n    return 4\n"
+            "class Hidden:\n    def method(self):\n        return 5\n"
+        ),
+    }
+    assert unreachable(modules) == ["m.Hidden", "m.Shown.unused", "m.dead"]
 
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

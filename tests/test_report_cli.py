@@ -16,16 +16,16 @@ from isoact.errors import ConfigError, ConstraintViolation
 from isoact.immobile import CayleyWindow, indicator_from_json, subset_from_json
 from isoact.report import (
     MAX_TRIALS,
+    CheckRow,
+    Report,
     SuiteConfig,
     check_row,
     digest_of,
     emit_report,
     format_number,
     format_value,
-    load_report,
     make_report,
     render_report,
-    report_from_dict,
     report_to_dict,
     unresolved_row,
 )
@@ -111,6 +111,18 @@ class TestSuiteConfig:
         assert cfg.params == (("a", 2), ("z", 1))
 
 
+def report_from_dict(data: dict) -> Report:
+    """The report a JSON rendering describes: the inverse of ``report_to_dict``.
+
+    Reading a rendering back checks that it carries every field of every row.
+    """
+    rows = tuple(CheckRow(**row) for row in data["rows"])
+    report = Report(suite=data["suite"], digest=data["digest"], rows=rows)
+    if data.get("summary") != report.summary():
+        raise ConfigError("report summary does not match its rows")
+    return report
+
+
 class TestReportShape:
     def rows(self):
         return [
@@ -154,7 +166,8 @@ class TestReportShape:
         report = make_report("demo", "d" * 16, self.rows())
         path = str(tmp_path / "report.json")
         emit_report(report, "json", path)
-        assert load_report(path) == report
+        with open(path, encoding="utf-8") as handle:
+            assert report_from_dict(json.load(handle)) == report
 
 
 class TestResolution:
@@ -274,7 +287,25 @@ class TestRunCommand:
     def test_list(self):
         result = self.invoke("run", "--list")
         assert result.exit_code == 0
-        assert json.loads(result.output) == SUITES
+        data = json.loads(result.output)
+        assert sorted(data) == SUITES
+        for name in SUITES:
+            assert data[name]["checks"] == REGISTRY[name].description
+
+    def test_list_shows_every_parameter(self):
+        data = json.loads(self.invoke("run", "--list").output)
+        for name in SUITES:
+            declared = REGISTRY[name].params
+            listed = data[name]["params"]
+            assert sorted(listed) == sorted(p.name for p in declared)
+            for param in declared:
+                assert listed[param.name]["allowed"] == param.describe()
+                default = listed[param.name]["default"]
+                if param.default is None:
+                    assert default is None
+                else:
+                    # the listed default, given back as a config value, is the declared one
+                    assert param.resolve(name, default) == param.default
 
     def test_passing_suite_exits_zero(self):
         result = self.invoke("run", "--suite", "asymptotic", "--seed", "1")
@@ -381,6 +412,9 @@ def assert_one_error_line(result, key):
     assert len(lines) == 1 and lines[0].startswith("Error:") and key in lines[0], lines
 
 
+DISC_PAIR = ("--g1", '{"a":["5/4","0"],"b":["3/4","0"]}', "--g2", '{"a":["4/3","1/3"],"b":["2/3","2/3"]}')
+
+
 class TestModuleCommands:
     def invoke(self, *args):
         return CliRunner().invoke(main, list(args))
@@ -442,7 +476,8 @@ class TestModuleCommands:
             "--g2",
             '{"a":["4/3","1/3"],"b":["2/3","2/3"]}',
         )
-        assert data["verdict"] == "pass"
+        assert data["degree"] == 80 and 0.0 <= data["residual"] < 1e-9
+        assert "verdict" not in data
 
     def test_mobius_rejects_non_group_element(self):
         result = self.invoke("mobius", "length", "--g", '{"a":["2","0"],"b":["0","0"]}')
@@ -517,9 +552,18 @@ class TestModuleCommands:
         [
             (("cocycle", "bgroup", "--level", "60"), "--level"),
             (("cocycle", "bgroup", "--trials", str(MAX_TRIALS + 1)), "--trials"),
+            (("mobius", "cocycle", *DISC_PAIR, "--degree", "-3"), "--degree"),
+            (("mobius", "cocycle", *DISC_PAIR, "--degree", "201"), "--degree"),
+            (("mobius", "cocycle", *DISC_PAIR, "--tol", "1e-6"), "--tol"),
+            (("mobius", "gns", "--size", "0"), "--size"),
+            (("mobius", "gns", "--size", "-2"), "--size"),
+            (("mobius", "gns", "--size", "51"), "--size"),
+            (("mobius", "probe", "--powers", "3"), "--powers"),
+            (("mobius", "probe", "--powers", str(MAX_TRIALS + 1)), "--powers"),
         ],
     )
     def test_bgroup_sizes_bounded(self, args, key):
+        # click refuses an unknown option or one outside its range before any work
         start = time.perf_counter()
         result = self.invoke(*args)
         assert time.perf_counter() - start < 5.0

@@ -9,7 +9,6 @@ from isoact.errors import ConstraintViolation, SingularLattice, Unresolvable, Ve
 from isoact.groups import free_reduce
 from isoact.treeball import (
     MAX_BALL_VERTICES,
-    LatticeBall,
     TreeAutomorphism,
     TreeBall,
     abs_metric,
@@ -18,12 +17,17 @@ from isoact.treeball import (
     cylinder_measure,
     freeword_automorphism,
     lattice_distance,
-    lattice_neighbor_steps,
-    matrix_automorphism,
+    mat_det,
+    mat_mul,
     measure_from,
     tree_distance,
     word_to_address,
 )
+
+
+def neighbors(ball, v):
+    """The children of ``v`` and, below the root, its parent."""
+    return ball.children(v) + ([ball.parent(v)] if v else [])
 
 
 class TestBallCombinatorics:
@@ -40,9 +44,9 @@ class TestBallCombinatorics:
         ball = TreeBall(2, 3)
         for v in ball.vertices():
             if ball.is_interior(v):
-                assert len(ball.neighbors(v)) == 3
+                assert len(neighbors(ball, v)) == 3
             else:
-                assert len(ball.neighbors(v)) == 1
+                assert len(neighbors(ball, v)) == 1
 
     def test_distance_properties(self):
         ball = TreeBall(2, 3)
@@ -139,8 +143,8 @@ class TestCanonicalMeasure:
             if not ball.is_interior(u):
                 continue
             for l in leaves:
-                avg = sum(measure_from(ball, w, l) for w in ball.neighbors(u)) / Fraction(
-                    len(ball.neighbors(u))
+                avg = sum(measure_from(ball, w, l) for w in neighbors(ball, u)) / Fraction(
+                    len(neighbors(ball, u))
                 )
                 assert measure_from(ball, u, l) == avg
 
@@ -148,6 +152,72 @@ class TestCanonicalMeasure:
         ball = TreeBall(3, 2)
         for l in ball.leaves():
             assert measure_from(ball, (), l) == cylinder_measure(ball, l)
+
+
+# Windows of lattice classes: a second model of the tree ball for lattice_distance
+# and a second action for boundary_derivative.
+
+
+def rational_matrix(entries):
+    (a, b), (c, d) = entries
+    return ((Fraction(a), Fraction(b)), (Fraction(c), Fraction(d)))
+
+
+def lattice_neighbor_steps(p):
+    """The ``p + 1`` index-``p`` sublattice steps, in canonical order.
+
+    These are the sublattices between ``p Z^2`` and ``Z^2``: the span of
+    ``(p e_1, k e_1 + e_2)`` for each ``k < p``, and ``(e_1, p e_2)``.
+    """
+    return [rational_matrix(((p, k), (0, 1))) for k in range(p)] + [
+        rational_matrix(((1, 0), (0, p)))
+    ]
+
+
+class LatticeBall:
+    """BFS window of lattice classes around the standard class.
+
+    Classes are enumerated outward from ``[Z_p^2]`` in the canonical step
+    order, which matches the addressing of ``TreeBall(n=p, radius)`` vertex
+    for vertex.
+    """
+
+    def __init__(self, p, radius):
+        self.p = p
+        self.ball = TreeBall(p, radius)
+        self.reps = {(): rational_matrix(((1, 0), (0, 1)))}
+        frontier = [()]
+        for _ in range(radius):
+            nxt = []
+            for v in frontier:
+                fresh = [mat_mul(self.reps[v], step) for step in lattice_neighbor_steps(p)]
+                if v:
+                    parent = self.reps[self.ball.parent(v)]
+                    fresh = [m for m in fresh if lattice_distance(m, parent, p) != 0]
+                children = self.ball.children(v)
+                assert len(fresh) == len(children)
+                self.reps.update(zip(children, fresh))
+                nxt.extend(children)
+            frontier = nxt
+
+    def address_of(self, m):
+        for addr, rep in self.reps.items():
+            if lattice_distance(m, rep, self.p) == 0:
+                return addr
+        raise VertexNotFound("lattice class lies outside this window")
+
+
+def matrix_automorphism(g, lattice_ball):
+    """Left multiplication by a rational matrix on a lattice-class window."""
+    g = rational_matrix(g)
+    assert mat_det(g) != 0
+    mapping = {}
+    for addr, rep in lattice_ball.reps.items():
+        try:
+            mapping[addr] = lattice_ball.address_of(mat_mul(g, rep))
+        except VertexNotFound:
+            continue
+    return TreeAutomorphism(lattice_ball.ball, mapping)
 
 
 class TestLatticeClasses:
