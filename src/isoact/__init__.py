@@ -34,7 +34,6 @@ from .errors import (
     IoError,
     IsoactError,
     VertexNotFound,
-    WindowTooSmall,
 )
 from .exact import QComplex
 from .groups import FiniteMeasure, FreeWord, SpMatrix, SuMatrix
@@ -60,7 +59,6 @@ __all__ = [
     "SuiteConfig",
     "TreeBall",
     "VertexNotFound",
-    "WindowTooSmall",
     "resolve_config",
     "run_suite",
     "suite_names",

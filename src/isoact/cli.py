@@ -63,6 +63,8 @@ from .treeball import (
 
 CONFIG_KEYS = ("suite", "seed", "trials", "tolerance", "params")
 MAX_STEP_LEVEL = 10
+# primes are checked by trial division up to the square root, a thousand steps here
+MAX_PRIME = 10**6
 
 
 def guarded(fn):
@@ -280,7 +282,7 @@ def tree_measure(n, radius, v):
 
 
 @tree.command(name="latdist")
-@click.option("--p", type=int, required=True)
+@click.option("--p", type=click.IntRange(2, MAX_PRIME), required=True)
 @click.option("--m1", type=str, required=True, help="2x2 rational matrix as JSON.")
 @click.option("--m2", type=str, required=True)
 @guarded
@@ -365,7 +367,7 @@ def harmonic_poisson(n, radius, k, seed):
     default="neg_log",
     show_default=True,
 )
-@click.option("--p", type=int, default=2, show_default=True)
+@click.option("--p", type=click.IntRange(2, MAX_PRIME), default=2, show_default=True)
 @guarded
 def harmonic_gram(n, radius, k, kernel, p):
     """Cylinder-difference gram matrix and its zero-mean minimal eigenvalue."""

@@ -106,25 +106,18 @@ def tau(g1: SpMatrix, g2: SpMatrix, margin: float = TAU_BRANCH_MARGIN) -> float:
     return float(np.sum(np.angle(eigenvalues)))
 
 
-def tau_cocycle_residual(g1: SpMatrix, g2: SpMatrix, g3: SpMatrix) -> float:
-    """Two-cocycle defect of ``tau``, reduced modulo ``2 pi``."""
-    lhs = tau(g1, g2) + tau(g1 * g2, g3)
-    rhs = tau(g2, g3) + tau(g1, g2 * g3)
-    wrapped = abs(lhs - rhs) % (2.0 * math.pi)
-    return min(wrapped, 2.0 * math.pi - wrapped)
-
-
 def tau_cocycle_residuals(
     g1: np.ndarray, g2: np.ndarray, g3: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`tau_cocycle_residual` over stacks of triples at once.
+    """Two-cocycle defects of :func:`tau`, reduced modulo ``2 pi``, for
+    stacks of triples.
 
     ``g1``, ``g2`` and ``g3`` hold the entries of ``T`` symplectic
     matrices each, with shape ``(T, 2n, 2n)``.  Returns ``(residuals,
-    ok)``.  ``ok[k]`` is False where the scalar route would raise
-    :class:`IllConditionedPhi` or :class:`BranchGuard` on triple ``k``;
-    its residual is then NaN.  Every other residual equals
-    ``tau_cocycle_residual`` on the same triple bit for bit: each step is
+    ok)``.  ``ok[k]`` is False where :func:`tau` would raise
+    :class:`IllConditionedPhi` or :class:`BranchGuard` on a term of
+    triple ``k``; its residual is then NaN.  Every other residual equals
+    the defect from the scalar :func:`tau` bit for bit: each step is
     the scalar one, with numpy and LAPACK applied slice by slice, and a
     pair with an exact identity contributes exactly ``0.0``.
     """
@@ -324,32 +317,18 @@ class StepAutomorphism:
             )
         return self.refine(level - self.level)
 
-    def compose(self, other: "StepAutomorphism", convention: str = "left") -> "StepAutomorphism":
+    def __mul__(self, other: "StepAutomorphism") -> "StepAutomorphism":
         """Product acting second-then-first, like function composition.
 
-        ``convention`` fixes which side the value group multiplies on:
-        ``"left"`` gives cell value ``v1(p2 x) v2(x)``, ``"right"`` gives
-        ``v2(x) v1(p2 x)``.  Both choices are associative; they present
-        the same abstract group with the value group's order reversed.
+        The value group multiplies on the left: the cell value at ``x`` is
+        ``v1(p2 x) v2(x)``.
         """
-        if convention not in ("left", "right"):
-            raise ConstraintViolation(f"unknown convention {convention!r}")
         level = max(self.level, other.level)
         f1 = self.at_level(level)
         f2 = other.at_level(level)
         perm = tuple(f1.perm[f2.perm[i]] for i in range(2**level))
-        if convention == "left":
-            values = tuple(
-                f1.values[f2.perm[i]] * f2.values[i] for i in range(2**level)
-            )
-        else:
-            values = tuple(
-                f2.values[i] * f1.values[f2.perm[i]] for i in range(2**level)
-            )
+        values = tuple(f1.values[f2.perm[i]] * f2.values[i] for i in range(2**level))
         return StepAutomorphism(level, perm, values)
-
-    def __mul__(self, other: "StepAutomorphism") -> "StepAutomorphism":
-        return self.compose(other, "left")
 
 
 def step_cocycle(

@@ -49,10 +49,6 @@ class SolveFailure(IsoactError):
     """A linear solve that should be nonsingular failed; internal error."""
 
 
-class WindowTooSmall(IsoactError):
-    """A group action leaves the materialized window."""
-
-
 class InvalidCoordinate(IsoactError):
     """A strip-space point lies outside its declared segment."""
 

@@ -1,13 +1,12 @@
 """Group elements used across the package.
 
-Four families of elements appear in the affine-action constructions:
+Three families of elements appear in the affine-action constructions:
 
 * :class:`SuMatrix` - pseudo-unitary 2x2 matrices ``(a b; conj(b) conj(a))``
   with ``|a|^2 - |b|^2 = 1``, acting on the unit disc.
 * :class:`SpMatrix` - real ``2n x 2n`` matrices preserving the standard
   skew form.
 * :class:`FreeWord` - reduced words in a finitely generated free group.
-* :class:`PAdicScalar` - exact rationals carrying a prime valuation.
 
 plus :class:`FiniteMeasure`, a finitely supported probability measure with
 exact rational weights over any of the above.
@@ -85,20 +84,6 @@ class SuMatrix:
     def inverse(self) -> "SuMatrix":
         """Structure-preserving inverse ``(conj(a), -b)``."""
         return SuMatrix(_conj(self.a), -self.b)
-
-    def matrix(self) -> np.ndarray:
-        """The full 2x2 complex matrix."""
-        a, b = _to_complex(self.a), _to_complex(self.b)
-        return np.array([[a, b], [b.conjugate(), a.conjugate()]], dtype=complex)
-
-    def mobius(self, z: complex) -> complex:
-        """Disc automorphism ``z -> (a z + b) / (conj(b) z + conj(a))``."""
-        a, b = _to_complex(self.a), _to_complex(self.b)
-        return (a * z + b) / (b.conjugate() * z + a.conjugate())
-
-    def ratio(self) -> float:
-        """``|b/a|``, always ``< 1``."""
-        return math.sqrt(float(_abs2(self.b)) / float(_abs2(self.a)))
 
     def trace(self) -> float:
         return 2.0 * _to_complex(self.a).real
@@ -344,48 +329,6 @@ def random_word(rng: np.random.Generator, rank: int, length: int) -> FreeWord:
         choices = [l for l in alphabet if l != -letters[-1]]
         letters.append(choices[int(rng.integers(0, len(choices)))])
     return FreeWord(tuple(letters), rank)
-
-
-# ---------------------------------------------------------------------------
-# p-adic scalars
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PAdicScalar:
-    """An exact rational together with a prime for valuation questions."""
-
-    value: Fraction
-    p: int
-
-    def __post_init__(self) -> None:
-        if self.p < 2 or any(self.p % q == 0 for q in range(2, int(self.p**0.5) + 1)):
-            raise ConstraintViolation(f"{self.p} is not prime")
-        object.__setattr__(self, "value", Fraction(self.value))
-
-    def __mul__(self, other: "PAdicScalar") -> "PAdicScalar":
-        if self.p != other.p:
-            raise GroupMismatch("p-adic scalars over different primes")
-        return PAdicScalar(self.value * other.value, self.p)
-
-
-def _int_valuation(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
-def padic_valuation(x: PAdicScalar) -> Union[int, float]:
-    """Exact valuation ``v_p``; ``+inf`` for zero.
-
-    >>> padic_valuation(PAdicScalar(Fraction(9, 4), 3))
-    2
-    """
-    if x.value == 0:
-        return math.inf
-    return _int_valuation(x.value.numerator, x.p) - _int_valuation(x.value.denominator, x.p)
 
 
 # ---------------------------------------------------------------------------

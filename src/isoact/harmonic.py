@@ -41,6 +41,7 @@ from .treeball import (
     common_prefix_length,
     cylinder_measure,
     measure_from,
+    require_prime,
 )
 
 
@@ -295,8 +296,7 @@ def gram_neg_log_padic(ball: TreeBall, k: int, p: int) -> List[List[Fraction]]:
     p-adic chordal metric, so the gram is the one of :func:`gram_neg_log`;
     any other ``n`` is a category error and raises :class:`TreeMismatch`.
     """
-    if any(p % q == 0 for q in range(2, int(p**0.5) + 1)) or p < 2:
-        raise ConstraintViolation(f"{p} is not prime")
+    require_prime(p)
     if ball.n != p:
         raise TreeMismatch(f"ball branching {ball.n} does not realise the {p}-adic boundary")
     return gram_neg_log(ball, k)

@@ -27,7 +27,6 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 from .errors import ConstraintViolation, VertexNotFound
 from .groups import FreeWord, free_reduce, word_from_json
-from .harmonic import OrientedGraph
 from .treeball import require_ball_size
 
 
@@ -98,12 +97,6 @@ class CayleyWindow:
                     out.append((m, target))
         return out
 
-    def graph(self) -> OrientedGraph:
-        vs = self.vertices()
-        index = {v: i for i, v in enumerate(vs)}
-        edges = tuple((index[t], index[h]) for t, h in self.edges())
-        interior = tuple(len(v.letters) < self.radius for v in vs)
-        return OrientedGraph(tuple(vs), edges, interior)
 
 
 def boundary_edge_count(window: CayleyWindow, subset: frozenset) -> int:

@@ -86,11 +86,6 @@ class EdgeVector:
     def scale(self, c: Fraction) -> "EdgeVector":
         return EdgeVector.from_dict(self.rank, {k: c * v for k, v in self.coeffs})
 
-    def inner(self, other: "EdgeVector") -> Fraction:
-        small, big = (self, other) if len(self.coeffs) <= len(other.coeffs) else (other, self)
-        lookup = big.as_dict()
-        return sum((v * lookup.get(k, Fraction(0)) for k, v in small.coeffs), Fraction(0))
-
     def norm2(self) -> Fraction:
         return sum((v * v for _, v in self.coeffs), Fraction(0))
 
@@ -164,9 +159,6 @@ class MetricTree:
                 raise ConstraintViolation(f"parent of vertex {i} must be an earlier vertex")
             if self.lengths[i] <= 0:
                 raise ConstraintViolation(f"edge length at vertex {i} must be positive")
-
-    def size(self) -> int:
-        return len(self.parents)
 
     def _chain(self, x: int) -> List[int]:
         out = []

@@ -22,10 +22,9 @@ from .cocycles import (
     sigma_convolution_residual,
     sigma_pair_orthogonal,
     tau,
-    tau_cocycle_residual,
     tau_cocycle_residuals,
 )
-from .errors import BranchGuard, ConfigError, ConstraintViolation, IllConditionedPhi
+from .errors import ConfigError, ConstraintViolation
 from .fock import (
     MAX_DEGREE,
     MAX_DIMENSION,
@@ -437,27 +436,31 @@ def _suite_sp_tau(rc: ResolvedConfig) -> List[CheckRow]:
     for stream, half_dim in ((0, 1), (1, 2)):
         label = f"sp{2 * half_dim}"
         size = 2 * half_dim
-        # A trial's first attempt draws its three matrices in one call, which
+        # Each attempt draws a trial's three matrices in one call, which
         # leaves its generator where three sp_random calls would.  Up to
         # SP_TAU_STACK trials are exponentiated and checked as one stack,
-        # which bounds the memory at any trial count.
+        # which bounds the memory at any trial count; the trials whose guards
+        # fail draw again in the next round, up to ``attempts`` rounds.
         for start in range(0, rc.trials, SP_TAU_STACK):
             trials = range(start, min(start + SP_TAU_STACK, rc.trials))
-            rngs = [_rng(rc, stream, k) for k in trials]
-            raw = np.array([rng.normal(0.0, scale, size=(3, size, size)) for rng in rngs])
-            stack = sp_exp(raw, half_dim)
-            residuals, ok = tau_cocycle_residuals(stack[:, 0], stack[:, 1], stack[:, 2])
-            for k, rng, residual, good in zip(trials, rngs, residuals, ok):
+            rngs = {k: _rng(rc, stream, k) for k in trials}
+            residual_of: Dict[int, float] = {}
+            pending = list(trials)
+            for _ in range(attempts):
+                raw = np.array([rngs[k].normal(0.0, scale, size=(3, size, size)) for k in pending])
+                stack = sp_exp(raw, half_dim)
+                residuals, ok = tau_cocycle_residuals(stack[:, 0], stack[:, 1], stack[:, 2])
+                residual_of.update((k, float(r)) for k, r, good in zip(pending, residuals, ok) if good)
+                pending = [k for k, good in zip(pending, ok) if not good]
+                if not pending:
+                    break
+            for k in trials:
                 row_id = f"{label}-{k:04d}"
                 inputs = {"seed": rc.seed, "trial": k, "dim": size}
-                if good:
-                    residual = float(residual)
+                if k in residual_of:
+                    rows.append(check_row(row_id, inputs, residual_of[k], residual_of[k], rc.tolerance))
                 else:
-                    residual = _retry_tau(rng, half_dim, scale, attempts - 1)
-                if residual is None:
                     rows.append(unresolved_row(row_id, inputs, "branch guards exhausted"))
-                else:
-                    rows.append(check_row(row_id, inputs, residual, residual, rc.tolerance))
         rng = _rng(rc, stream + 10, 0)
         g = sp_random(rng, half_dim, scale)
         e = sp_identity(half_dim)
@@ -466,19 +469,6 @@ def _suite_sp_tau(rc: ResolvedConfig) -> List[CheckRow]:
             check_row(f"{label}-identity", {"dim": 2 * half_dim}, defect, defect, 0.0)
         )
     return rows
-
-
-def _retry_tau(
-    rng: np.random.Generator, half_dim: int, scale: float, attempts: int
-) -> Optional[float]:
-    """Fresh triples from ``rng``, one at a time, until the guards hold."""
-    for _ in range(attempts):
-        triple = [sp_random(rng, half_dim, scale) for _ in range(3)]
-        try:
-            return tau_cocycle_residual(*triple)
-        except (BranchGuard, IllConditionedPhi):
-            continue
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,14 @@ is that both ends of an edge report the same width.
 
 At a vertex, consecutive charts are glued along their corner segments by
 orientation-reversing isometries.  The quotient of the disjoint charts by
-these partial isometries is the object of study; with the width conditions
-it is a segment-closed real tree, which the tests probe through the exact
-four-point condition.
+these partial isometries is a finite metric graph, the leaf space of a
+measured foliation on the ribbon graph's surface: a real tree when that
+surface is planar, and possibly with a loop when not (the genus-1 rose).
 
-Distances are computed exactly: rational widths keep the orbit of any
-rational point under the gluing groupoid finite, so the closure of the
-breakpoint set is finite and Dijkstra over zero-cost gluing jumps plus
-within-chart steps yields the true quotient metric as a ``Fraction``.
+Distances are exact: rational widths keep the orbit of any rational point
+under the gluing groupoid finite, so the breakpoint closure is finite.  Its
+points are merged with their gluing images, consecutive classes on a chart
+are joined by their gap, and Dijkstra over the classes stops at the target.
 """
 
 from __future__ import annotations
@@ -164,15 +164,19 @@ def make_track(vertices, edge_ends, cyclic, a_plus) -> TrainTrack:
 # ---------------------------------------------------------------------------
 
 
+CLOSURE_CAP = 20000
+
+
 class TrackMetric:
     """Exact distances between located points on a track quotient.
 
-    The node set is the closure of chart breakpoints and query points under
-    all gluing maps; rational data keeps it finite.  ``cap`` bounds the
-    closure size (:class:`PartitionOverflow` beyond it).
+    Closure points are merged with their gluing images by union-find, and
+    consecutive closure points on a chart join their classes by their gap.
+    A closure beyond ``CLOSURE_CAP`` points raises :class:`PartitionOverflow`;
+    points in different components raise :class:`ConstraintViolation`.
     """
 
-    def __init__(self, track: TrainTrack, points: Sequence[Point] = (), cap: int = 20000):
+    def __init__(self, track: TrainTrack, points: Sequence[Point] = ()):
         self.track = track
         self.points = [track.check_point(p) for p in points]
         base: List[Point] = []
@@ -183,61 +187,56 @@ class TrackMetric:
                 d = (e, end)
                 vals.add(track.unview(d, track.corner[d]))
             base.extend((e, x) for x in vals)
-        seen = set(base)
-        seen.update(self.points)
-        frontier = list(seen)
+        parent = {p: p for p in base + self.points}
+
+        def find(p: Point) -> Point:
+            while parent[p] != p:
+                parent[p] = parent[parent[p]]
+                p = parent[p]
+            return p
+
+        frontier = list(parent)
         while frontier:
-            if len(seen) > cap:
-                raise PartitionOverflow(f"breakpoint closure exceeded {cap} points")
+            if len(parent) > CLOSURE_CAP:
+                raise PartitionOverflow(f"breakpoint closure exceeded {CLOSURE_CAP} points")
             nxt: List[Point] = []
             for p in frontier:
                 for q in track.glue_images(p):
-                    if q not in seen:
-                        seen.add(q)
+                    if q not in parent:
+                        parent[q] = q
                         nxt.append(q)
+                    a, b = find(p), find(q)
+                    if a != b:
+                        parent[a] = b
             frontier = nxt
-        self.nodes: List[Point] = sorted(seen)
-        self.node_id = {p: i for i, p in enumerate(self.nodes)}
-        adj: List[List[Tuple[int, Fraction]]] = [[] for _ in self.nodes]
-        per_chart: Dict[int, List[Point]] = {}
-        for p in self.nodes:
-            per_chart.setdefault(p[0], []).append(p)
-        for chart in per_chart.values():
-            chart.sort(key=lambda p: p[1])
-            for a, b in zip(chart, chart[1:]):
-                cost = b[1] - a[1]
-                ia, ib = self.node_id[a], self.node_id[b]
-                adj[ia].append((ib, cost))
-                adj[ib].append((ia, cost))
-        for p in self.nodes:
-            ip = self.node_id[p]
-            for q in self.track.glue_images(p):
-                adj[ip].append((self.node_id[q], Fraction(0)))
-        self.adj = adj
-        self._cache: Dict[int, List[Fraction]] = {}
-
-    def _from_source(self, src: int) -> List[Fraction]:
-        if src in self._cache:
-            return self._cache[src]
-        dist: List[Fraction] = [None] * len(self.nodes)  # type: ignore[list-item]
-        heap: List[Tuple[Fraction, int]] = [(Fraction(0), src)]
-        while heap:
-            d, i = heapq.heappop(heap)
-            if dist[i] is not None:
-                continue
-            dist[i] = d
-            for j, cost in self.adj[i]:
-                if dist[j] is None:
-                    heapq.heappush(heap, (d + cost, j))
-        self._cache[src] = dist
-        return dist
+        self.cls = {p: find(p) for p in parent}
+        self.adj: Dict[Point, List[Tuple[Point, Fraction]]] = {c: [] for c in self.cls.values()}
+        nodes = sorted(parent)
+        for a, b in zip(nodes, nodes[1:]):
+            ca, cb = self.cls[a], self.cls[b]
+            if a[0] == b[0] and ca != cb:
+                self.adj[ca].append((cb, b[1] - a[1]))
+                self.adj[cb].append((ca, b[1] - a[1]))
 
     def distance(self, p: Point, q: Point) -> Fraction:
         p = self.track.check_point(p)
         q = self.track.check_point(q)
-        if p not in self.node_id or q not in self.node_id:
+        if p not in self.cls or q not in self.cls:
             raise InvalidCoordinate("query points must be supplied at construction")
-        return self._from_source(self.node_id[p])[self.node_id[q]]
+        target = self.cls[q]
+        done = set()
+        heap: List[Tuple[Fraction, Point]] = [(Fraction(0), self.cls[p])]
+        while heap:
+            d, a = heapq.heappop(heap)
+            if a == target:
+                return d
+            if a in done:
+                continue
+            done.add(a)
+            for b, cost in self.adj[a]:
+                if b not in done:
+                    heapq.heappush(heap, (d + cost, b))
+        raise ConstraintViolation(f"points {p[0]}:{p[1]} and {q[0]}:{q[1]} lie in different components")
 
     def pairwise(self) -> List[List[Fraction]]:
         return [[self.distance(p, q) for q in self.points] for p in self.points]

@@ -29,7 +29,7 @@ from .errors import (
     Unresolvable,
     VertexNotFound,
 )
-from .groups import FreeWord, PAdicScalar, padic_valuation
+from .groups import FreeWord
 
 Address = Tuple[int, ...]
 
@@ -229,10 +229,29 @@ def mat_inv(x: Matrix2) -> Matrix2:
     return ((x[1][1] / d, -x[0][1] / d), (-x[1][0] / d, x[0][0] / d))
 
 
-def _vp(x: Fraction, p: int):
+def require_prime(p: int) -> None:
+    """Raise :class:`ConstraintViolation` unless ``p`` is prime, by trial division."""
+    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        raise ConstraintViolation(f"{p} is not prime")
+
+
+def padic_valuation(x: Fraction, p: int):
+    """Exact valuation ``v_p`` of a rational, for a prime ``p``; ``+inf`` for zero.
+
+    >>> padic_valuation(Fraction(9, 4), 3)
+    2
+    """
     if x == 0:
         return math.inf
-    return padic_valuation(PAdicScalar(x, p))
+    v = 0
+    num, den = x.numerator, x.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
 
 
 def lattice_distance(m1, m2, p: int) -> int:
@@ -242,12 +261,13 @@ def lattice_distance(m1, m2, p: int) -> int:
     ``(v, d - v)`` where ``d = v_p(det A)`` and ``v`` is the minimum entry
     valuation; the tree distance is their difference ``d - 2v``.
     """
+    require_prime(p)
     a = mat_mul(mat_inv(_mat(m1)), _mat(m2))
     d = mat_det(a)
     if d == 0:
         raise SingularLattice("second matrix is singular")
-    dv = _vp(d, p)
-    mv = min(_vp(a[i][j], p) for i in range(2) for j in range(2))
+    dv = padic_valuation(d, p)
+    mv = min(padic_valuation(a[i][j], p) for i in range(2) for j in range(2))
     return int(dv - 2 * mv)
 
 

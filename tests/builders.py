@@ -3,7 +3,9 @@
 Named rotations, boosts and exact rational elements give the tests
 hand-checkable inputs, where the package samples its elements at random;
 point masses and random weights build measures; the orthonormal frame
-makes the truncated disc operators unitary on their low columns.
+makes the truncated disc operators unitary on their low columns.  The disc
+map of an SU(1,1) element and the graph of a Cayley window are read off
+their data here, for tests that need them and suites that do not.
 """
 
 import cmath
@@ -14,6 +16,8 @@ import numpy as np
 
 from isoact.exact import QComplex, format_fraction
 from isoact.groups import FiniteMeasure, SpMatrix, SuMatrix, su_from_params
+from isoact.harmonic import OrientedGraph
+from isoact.immobile import CayleyWindow
 
 
 def su_identity(exact: bool = False) -> SuMatrix:
@@ -80,3 +84,23 @@ def orthonormal_frame(mat: np.ndarray) -> np.ndarray:
     n = mat.shape[0]
     scale = np.sqrt(np.arange(1, n + 1))
     return mat * (scale[None, :] / scale[:, None])
+
+
+def su_entries(g: SuMatrix):
+    """``(a, b)`` of ``g`` as Python complex numbers, from either backend."""
+    return tuple(z.to_complex() if isinstance(z, QComplex) else complex(z) for z in (g.a, g.b))
+
+
+def disc_map(g: SuMatrix, z: complex) -> complex:
+    """Disc automorphism ``z -> (a z + b) / (conj(b) z + conj(a))`` of ``g``."""
+    a, b = su_entries(g)
+    return (a * z + b) / (b.conjugate() * z + a.conjugate())
+
+
+def cayley_graph(window: CayleyWindow) -> OrientedGraph:
+    """The window's vertices and edges as a graph; words shorter than the radius are interior."""
+    vs = window.vertices()
+    index = {v: i for i, v in enumerate(vs)}
+    edges = tuple((index[t], index[h]) for t, h in window.edges())
+    interior = tuple(len(v.letters) < window.radius for v in vs)
+    return OrientedGraph(tuple(vs), edges, interior)

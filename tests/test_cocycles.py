@@ -86,6 +86,18 @@ def tau_det_arg(g1, g2):
     return cmath.phase(np.linalg.det(p12) / (np.linalg.det(p1) * np.linalg.det(p2)))
 
 
+def tau_cocycle_residual(g1, g2, g3):
+    """Two-cocycle defect of ``tau`` one triple at a time, reduced modulo ``2 pi``.
+
+    The scalar oracle of ``tau_cocycle_residuals``: it raises where a guard
+    of ``tau`` fails, and the batch must match it bit for bit elsewhere.
+    """
+    lhs = co.tau(g1, g2) + co.tau(g1 * g2, g3)
+    rhs = co.tau(g2, g3) + co.tau(g1, g2 * g3)
+    wrapped = abs(lhs - rhs) % (2.0 * math.pi)
+    return min(wrapped, 2.0 * math.pi - wrapped)
+
+
 def test_tau_matches_determinant_route():
     for i in range(50):
         rng = np.random.default_rng([41, i])
@@ -107,7 +119,7 @@ def test_tau_cocycle_identity():
         rng = np.random.default_rng([43, i])
         for n in (1, 2):
             g1, g2, g3 = (sp_random(rng, n) for _ in range(3))
-            largest = max(largest, co.tau_cocycle_residual(g1, g2, g3))
+            largest = max(largest, tau_cocycle_residual(g1, g2, g3))
             magnitudes.append(abs(co.tau(g1, g2)))
     assert largest <= 1e-9
     # the identity is only evidence if the scalar itself is visible
@@ -170,10 +182,10 @@ def test_tau_residuals_match_scalar_oracle_with_guards():
     for k, triple in enumerate(triples):
         if k in guarded:
             with pytest.raises(guarded[k]):
-                co.tau_cocycle_residual(*triple)
+                tau_cocycle_residual(*triple)
             assert np.isnan(residuals[k])
         else:
-            assert float(residuals[k]).hex() == co.tau_cocycle_residual(*triple).hex()
+            assert float(residuals[k]).hex() == tau_cocycle_residual(*triple).hex()
     assert residuals[30] == 0.0
 
 
@@ -183,7 +195,7 @@ def test_tau_residuals_match_scalar_oracle_sp4():
     residuals, ok = co.tau_cocycle_residuals(*_stack(triples))
     assert ok.all()
     for k, triple in enumerate(triples):
-        assert float(residuals[k]).hex() == co.tau_cocycle_residual(*triple).hex()
+        assert float(residuals[k]).hex() == tau_cocycle_residual(*triple).hex()
 
 
 def test_tau_residuals_reject_mismatched_stacks():
@@ -202,7 +214,7 @@ def _sp_tau_rows_by_loop(rc):
             for _ in range(5):
                 triple = [sp_random(rng, half_dim, rc.params["scale"]) for _ in range(3)]
                 try:
-                    residual = co.tau_cocycle_residual(*triple)
+                    residual = tau_cocycle_residual(*triple)
                 except (BranchGuard, IllConditionedPhi):
                     continue
                 rows.append(check_row(f"{label}-{k:04d}", inputs, residual, residual, rc.tolerance))
@@ -440,16 +452,13 @@ def test_step_product_commutes_with_refinement():
         assert (f1 * f2).at_level(level) == f1.at_level(level) * f2.at_level(level)
 
 
-def test_step_associativity_both_conventions():
+def test_step_associativity():
     rng = np.random.default_rng(83)
     for _ in range(20):
         f1 = random_word_step(rng, int(rng.integers(1, 3)))
         f2 = random_word_step(rng, int(rng.integers(1, 3)))
         f3 = random_word_step(rng, int(rng.integers(1, 3)))
         assert (f1 * f2) * f3 == f1 * (f2 * f3)
-        left = f1.compose(f2, "right").compose(f3, "right")
-        right = f1.compose(f2.compose(f3, "right"), "right")
-        assert left == right
 
 
 def test_step_identity_neutral():

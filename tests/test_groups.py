@@ -13,10 +13,8 @@ from isoact.exact import QComplex
 from isoact.groups import (
     FiniteMeasure,
     FreeWord,
-    PAdicScalar,
     free_reduce,
     measure_convolve,
-    padic_valuation,
     random_word,
     sp_form,
     sp_identity,
@@ -27,9 +25,11 @@ from isoact.groups import (
     su_random,
     word_from_json,
 )
+from isoact.treeball import padic_valuation, require_prime
 
 from builders import (
     delta_measure,
+    disc_map,
     random_rational_weights,
     sp_boost,
     sp_rotation,
@@ -37,6 +37,7 @@ from builders import (
     su_rational_boost,
     su_rational_rotation,
     su_rotation,
+    su_entries,
     su_to_json,
 )
 
@@ -50,12 +51,12 @@ class TestSuMatrix:
 
     def test_boost_moves_origin(self):
         g = su_boost(0.7)
-        assert g.mobius(0.0) == pytest.approx(math.tanh(0.7))
+        assert disc_map(g, 0.0) == pytest.approx(math.tanh(0.7))
 
     def test_rotation_fixes_origin(self):
         g = su_rotation(1.1)
-        assert g.mobius(0.0) == 0.0
-        assert g.mobius(0.3) == pytest.approx(0.3 * np.exp(2.2j))
+        assert disc_map(g, 0.0) == 0.0
+        assert disc_map(g, 0.3) == pytest.approx(0.3 * np.exp(2.2j))
 
     def test_inverse_exact(self):
         g = su_rational_boost(Fraction(1, 3)) * su_rational_rotation(Fraction(1, 2))
@@ -66,7 +67,8 @@ class TestSuMatrix:
     def test_inverse_float(self):
         rng = np.random.default_rng(5)
         g = su_random(rng)
-        prod = (g * g.inverse()).matrix()
+        a, b = su_entries(g * g.inverse())
+        prod = np.array([[a, b], [b.conjugate(), a.conjugate()]])
         assert np.allclose(prod, np.eye(2), atol=1e-12)
 
     def test_product_stays_in_group(self):
@@ -88,14 +90,14 @@ class TestSuMatrix:
         rng = np.random.default_rng(7)
         g1, g2 = su_random(rng), su_random(rng)
         z = 0.2 + 0.1j
-        assert (g1 * g2).mobius(z) == pytest.approx(g1.mobius(g2.mobius(z)))
+        assert disc_map(g1 * g2, z) == pytest.approx(disc_map(g1, disc_map(g2, z)))
 
     def test_mobius_preserves_disc(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             g = su_random(rng)
             z = 0.95 * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            assert abs(g.mobius(z)) < 1.0
+            assert abs(disc_map(g, z)) < 1.0
 
     def test_json_round_trip_float(self):
         g = su_boost(0.4) * su_rotation(0.9)
@@ -237,18 +239,20 @@ class TestFreeWord:
 
 class TestPAdic:
     def test_valuations(self):
-        assert padic_valuation(PAdicScalar(Fraction(12), 2)) == 2
-        assert padic_valuation(PAdicScalar(Fraction(5, 27), 3)) == -3
-        assert padic_valuation(PAdicScalar(Fraction(0), 5)) == math.inf
+        assert padic_valuation(Fraction(12), 2) == 2
+        assert padic_valuation(Fraction(5, 27), 3) == -3
+        assert padic_valuation(Fraction(0), 5) == math.inf
 
     def test_valuation_additive_under_product(self):
-        x = PAdicScalar(Fraction(18, 5), 3)
-        y = PAdicScalar(Fraction(3, 7), 3)
-        assert padic_valuation(x * y) == padic_valuation(x) + padic_valuation(y)
+        x, y = Fraction(18, 5), Fraction(3, 7)
+        assert padic_valuation(x * y, 3) == padic_valuation(x, 3) + padic_valuation(y, 3)
 
     def test_prime_required(self):
-        with pytest.raises(ConstraintViolation):
-            PAdicScalar(Fraction(1), 6)
+        for p in (2, 3, 97, 1_000_003):
+            require_prime(p)
+        for p in (-7, 0, 1, 6, 49, 1_000_001):
+            with pytest.raises(ConstraintViolation, match="not prime"):
+                require_prime(p)
 
 
 # A JSON form of measures that no command reads or writes yet, kept with its tests.

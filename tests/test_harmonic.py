@@ -37,6 +37,8 @@ from isoact.harmonic import (
 from isoact.immobile import CayleyWindow
 from isoact.treeball import TreeBall, common_prefix_length, cylinder_measure
 
+from builders import cayley_graph
+
 
 def rational_list(rng, count, span=6):
     return [Fraction(int(rng.integers(-span, span + 1)), int(rng.integers(1, 4))) for _ in range(count)]
@@ -393,9 +395,9 @@ class TestTreeSolver:
         ("ball-2-4", lambda: tree_ball_graph(TreeBall(2, 4))),
         ("ball-2-5", lambda: tree_ball_graph(TreeBall(2, 5))),
         ("ball-3-3", lambda: tree_ball_graph(TreeBall(3, 3))),
-        ("cayley-2-3", lambda: CayleyWindow(2, 3).graph()),
-        ("cayley-2-4", lambda: CayleyWindow(2, 4).graph()),
-        ("cayley-3-2", lambda: CayleyWindow(3, 2).graph()),
+        ("cayley-2-3", lambda: cayley_graph(CayleyWindow(2, 3))),
+        ("cayley-2-4", lambda: cayley_graph(CayleyWindow(2, 4))),
+        ("cayley-3-2", lambda: cayley_graph(CayleyWindow(3, 2))),
     ]
 
     @pytest.mark.parametrize("build", [b for _, b in GRAPHS], ids=[name for name, _ in GRAPHS])

@@ -21,6 +21,8 @@ from isoact.immobile import (
 )
 from isoact.treeball import TreeBall, word_to_address
 
+from builders import cayley_graph
+
 
 def word(*letters, rank=2):
     return FreeWord(tuple(letters), rank)
@@ -195,7 +197,7 @@ def test_energy_schedule_validation():
 
 def test_window_graph_flags():
     w = CayleyWindow(2, 3)
-    graph = w.graph()
+    graph = cayley_graph(w)
     assert len(graph.vertices) == len(w.vertices())
     assert len(graph.edges) == len(w.edges())
     for i, v in enumerate(graph.vertices):

@@ -80,6 +80,11 @@ def referenced_names(node: ast.AST) -> set:
     return out
 
 
+def attribute_names(node: ast.AST) -> set:
+    """Attribute names loaded anywhere under ``node``: the only way to reach a method."""
+    return {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+
+
 def is_command(node: ast.AST) -> bool:
     """A function registered with click by ``@<group>.command`` or ``@<group>.group``."""
     for decorator in getattr(node, "decorator_list", ()):
@@ -96,13 +101,21 @@ def unreachable(modules: dict) -> list:
     of ``cli``, and every module-level statement that is not a definition:
     those run on import, and in ``suites`` they register the suites.  From a
     reached function or class, every name and attribute name it loads reaches
-    the top-level definitions of that name in any module, and the methods of
-    that name of reached classes; a reached class also reaches its dunder
-    methods.  Reported are top-level functions and classes, and the public
-    methods of reached classes, as ``module.Name`` or ``module.Class.method``.
+    the top-level definitions of that name in any module, and every attribute
+    name it loads reaches the methods of that name of reached classes; a bare
+    name, such as a local variable, reaches no method.  A reached class also
+    reaches its dunder methods.  Reported are top-level functions and
+    classes, and the public methods of reached classes, as ``module.Name`` or
+    ``module.Class.method``.
     """
     defs = {}
     names = set()
+    attrs = set()
+
+    def load(node):
+        names.update(referenced_names(node))
+        attrs.update(attribute_names(node))
+
     for module, tree in modules.items():
         for node in tree.body:
             if isinstance(node, (ast.ClassDef, *FUNCTIONS)):
@@ -114,9 +127,9 @@ def unreachable(modules: dict) -> list:
                         if isinstance(sub, FUNCTIONS):
                             defs[(module, f"{node.name}.{sub.name}")] = sub
             else:
-                names |= referenced_names(node)
+                load(node)
         if module == "__init__":
-            names |= exported_names(tree)
+            names.update(exported_names(tree))
     reached = set()
     grew = True
     while grew:
@@ -128,9 +141,9 @@ def unreachable(modules: dict) -> list:
             if owner:
                 if (module, owner) not in reached:
                     continue
-                if method not in names and not (method.startswith("__") and method.endswith("__")):
+                if method not in attrs and not (method.startswith("__") and method.endswith("__")):
                     continue
-                names |= referenced_names(node)
+                load(node)
             elif qualname not in names:
                 continue
             elif isinstance(node, ast.ClassDef):
@@ -138,11 +151,11 @@ def unreachable(modules: dict) -> list:
                 for part in node.bases + node.decorator_list + node.body:
                     if isinstance(part, FUNCTIONS):
                         for decorator in part.decorator_list:
-                            names |= referenced_names(decorator)
+                            load(decorator)
                     else:
-                        names |= referenced_names(part)
+                        load(part)
             else:
-                names |= referenced_names(node)
+                load(node)
             reached.add((module, qualname))
             grew = True
     out = []
@@ -170,7 +183,7 @@ def test_scan_sees_a_dead_function():
         "__init__": ast.parse("from .m import Shown\n__all__ = ['Shown']\n"),
         "cli": ast.parse(
             "@main.command()\ndef probe():\n    return helper()\n"
-            "def helper():\n    return Shown().used()\n"
+            "def helper():\n    unused = Shown().used()\n    return unused\n"
         ),
         "suites": ast.parse("REGISTRY = {'s': run_s}\ndef run_s():\n    return 0\n"),
         "m": ast.parse(

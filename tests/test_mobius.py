@@ -15,7 +15,9 @@ from isoact.exact import QC_ONE
 from isoact.groups import SuMatrix, su_boost, su_from_params, su_random
 
 from builders import (
+    disc_map,
     orthonormal_frame,
+    su_entries,
     su_identity,
     su_rational_boost,
     su_rational_rotation,
@@ -26,12 +28,6 @@ from builders import (
 def sample_elements(seed, count, max_ratio=0.7):
     rng = np.random.default_rng(seed)
     return [su_random(rng, max_ratio=max_ratio) for _ in range(count)]
-
-
-def _entries(g: SuMatrix):
-    a = g.a.to_complex() if g.exact else complex(g.a)
-    b = g.b.to_complex() if g.exact else complex(g.b)
-    return a, b
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +46,7 @@ def poincare_distance(z1: complex, z2: complex) -> float:
 
 def displacement(g: SuMatrix) -> float:
     """``d(0, g 0) = log(|a| + |b|)``."""
-    a, b = _entries(g)
+    a, b = su_entries(g)
     return math.log(abs(a) + abs(b))
 
 
@@ -80,7 +76,7 @@ def test_distance_rejects_boundary():
 
 def test_displacement_is_orbit_distance():
     for g in sample_elements(11, 10, max_ratio=0.9):
-        assert abs(displacement(g) - poincare_distance(0.0, g.mobius(0.0))) < 1e-12
+        assert abs(displacement(g) - poincare_distance(0.0, disc_map(g, 0.0))) < 1e-12
 
 
 def test_mobius_action_is_isometric():
@@ -89,7 +85,7 @@ def test_mobius_action_is_isometric():
         for _ in range(4):
             x, y = (complex(*rng.uniform(-0.55, 0.55, 2)) for _ in range(2))
             d1 = poincare_distance(x, y)
-            d2 = poincare_distance(g.mobius(x), g.mobius(y))
+            d2 = poincare_distance(disc_map(g, x), disc_map(g, y))
             assert abs(d1 - d2) < 1e-11
 
 
@@ -100,13 +96,13 @@ def test_mobius_action_is_isometric():
 
 
 def gamma_eval(g: SuMatrix, z: complex) -> complex:
-    a, b = _entries(g)
+    a, b = su_entries(g)
     return b.conjugate() / (b.conjugate() * z + a.conjugate())
 
 
 def pi_eval(g: SuMatrix, f, z: complex) -> complex:
     """Pointwise weight-two action on a callable function."""
-    a, b = _entries(g)
+    a, b = su_entries(g)
     denom = b.conjugate() * z + a.conjugate()
     return f((a * z + b) / denom) / (denom * denom)
 
@@ -294,12 +290,12 @@ def min_displacement_grid(g: SuMatrix, r_max=0.95, nr=40, ntheta=160) -> float:
     Never below the true length; exceeds it only by the grid resolution
     around the axis.
     """
-    best = poincare_distance(0.0, g.mobius(0.0))
+    best = poincare_distance(0.0, disc_map(g, 0.0))
     for i in range(1, nr + 1):
         r = r_max * i / nr
         for j in range(ntheta):
             z = r * cmath.exp(2j * math.pi * j / ntheta)
-            best = min(best, poincare_distance(z, g.mobius(z)))
+            best = min(best, poincare_distance(z, disc_map(g, z)))
     return best
 
 
@@ -315,7 +311,7 @@ def axis_distance_from_origin(u: SuMatrix) -> float:
     normalisation ``d(0, tanh t) = t`` the distance satisfies
     ``sinh(2 d) = 2 |Im(conj(p) q)|`` for ``u = (p, q)``.
     """
-    p, q = _entries(u)
+    p, q = su_entries(u)
     return 0.5 * math.asinh(2.0 * abs((p.conjugate() * q).imag))
 
 
@@ -400,7 +396,7 @@ def test_axis_distance_formula():
     u = su_from_params(math.sqrt(2.0), 1.0j)
     d0 = axis_distance_from_origin(u)
     scan = min(
-        poincare_distance(0.0, u.mobius(math.tanh(s)))
+        poincare_distance(0.0, disc_map(u, math.tanh(s)))
         for s in np.linspace(-6.0, 6.0, 4001)
     )
     assert abs(scan - d0) < 1e-3

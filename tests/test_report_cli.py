@@ -412,6 +412,12 @@ def assert_one_error_line(result, key):
     assert len(lines) == 1 and lines[0].startswith("Error:") and key in lines[0], lines
 
 
+# two disjoint single-edge tracks, whose quotient has two components
+TWO_SEGMENTS = (
+    '{"vertices":["v","w","x","y"],"edges":[{"ends":["v","w"]},{"ends":["x","y"]}],'
+    '"cyclic":{"v":[[0,0]],"w":[[0,1]],"x":[[1,0]],"y":[[1,1]]},'
+    '"widths":{"0:0":"1","0:1":"1","1:0":"1","1:1":"1"}}'
+)
 DISC_PAIR = ("--g1", '{"a":["5/4","0"],"b":["3/4","0"]}', "--g2", '{"a":["4/3","1/3"],"b":["2/3","2/3"]}')
 
 
@@ -527,6 +533,7 @@ class TestModuleCommands:
             (("immobile", "set", "--set", "[1]"), "--set"),
             (("rtree", "length", "--word", '{"a":1}'), "--word"),
             (("rtree", "length", "--word", "[3]"), "--word"),
+            (("rtree", "metric", "--track", TWO_SEGMENTS, "--points", '[[0,"0"],[1,"1"]]'), "components"),
         ],
     )
     def test_bad_probe_argument_is_one_error_line(self, args, key):
@@ -560,6 +567,8 @@ class TestModuleCommands:
             (("mobius", "gns", "--size", "51"), "--size"),
             (("mobius", "probe", "--powers", "3"), "--powers"),
             (("mobius", "probe", "--powers", str(MAX_TRIALS + 1)), "--powers"),
+            (("tree", "latdist", "--p", "1000000000000037", "--m1", "[[1,0],[0,1]]", "--m2", "[[2,0],[0,1]]"), "--p"),
+            (("harmonic", "gram", "--kernel", "neg_log_padic", "--p", "1"), "--p"),
         ],
     )
     def test_bgroup_sizes_bounded(self, args, key):

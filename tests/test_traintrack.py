@@ -1,6 +1,7 @@
 """Train track validation, exact quotient metric, grid cross-check."""
 
 import heapq
+import itertools
 import tracemalloc
 from fractions import Fraction
 
@@ -125,6 +126,40 @@ def all_pairs(points):
     return [(p, q) for p in points for q in points]
 
 
+def ribbon_genus(track):
+    """Genus of the closed surface that the cyclic orders span, by counting faces.
+
+    A face is an orbit of the map that flips a dart to the other end of its
+    edge and then steps to the next dart around that end's vertex; for a
+    connected track, V - E + F = 2 - 2g.
+    """
+    unseen = {(e, end) for e in range(len(track.edge_ends)) for end in (0, 1)}
+    faces = 0
+    while unseen:
+        faces += 1
+        d = min(unseen)
+        while d in unseen:
+            unseen.remove(d)
+            d = track.next_dart((d[0], 1 - d[1]))
+    return (2 - len(track.vertices) + len(track.edge_ends) - faces) // 2
+
+
+# the corpus tracks whose quotient is a real tree
+PLANAR = sorted(name for name, build in CORPUS.items() if ribbon_genus(build()) == 0)
+
+
+def four_point_defects(track, step):
+    """For every 4-subset of the grid points of mesh ``step``: the largest of
+    the three pairing sums minus the middle one, which is 0 in a real tree."""
+    pts = [(e, k * step) for e in range(len(track.edge_ends)) for k in range(int(track.width(e) / step) + 1)]
+    d = TrackMetric(track, pts).pairwise()
+    out = []
+    for i, j, k, l in itertools.combinations(range(len(pts)), 4):
+        sums = sorted((d[i][j] + d[k][l], d[i][k] + d[j][l], d[i][l] + d[j][k]))
+        out.append(sums[2] - sums[1])
+    return out
+
+
 class TestValidation:
     def test_corpus_builds(self):
         for build in CORPUS.values():
@@ -225,21 +260,28 @@ class TestQuotientMetric:
                 for k in range(m):
                     assert d[i][j] <= d[i][k] + d[k][j]
 
-    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_corpus_genus(self):
+        assert {name: ribbon_genus(build()) for name, build in CORPUS.items()} == {
+            "rose": 1,
+            "segment": 0,
+            "theta": 0,
+        }
+        assert PLANAR == ["segment", "theta"]
+
+    @pytest.mark.parametrize("name", PLANAR)
     def test_four_point_condition_exact(self, name):
-        # the quotient is a real tree: among the three pairings of any four
-        # points, the two largest sums are equal
-        track = CORPUS[name]()
-        rng = np.random.default_rng(51)
-        pts = random_points(track, rng, 8)
-        metric = TrackMetric(track, pts)
-        for _ in range(40):
-            i, j, k, l = (int(x) for x in rng.integers(0, len(pts), size=4))
-            a = metric.distance(pts[i], pts[j]) + metric.distance(pts[k], pts[l])
-            b = metric.distance(pts[i], pts[k]) + metric.distance(pts[j], pts[l])
-            c = metric.distance(pts[i], pts[l]) + metric.distance(pts[j], pts[k])
-            hi = max(a, b, c)
-            assert sorted((a, b, c))[1] == hi or [a, b, c].count(hi) >= 2
+        # on a planar track the quotient is a real tree: among the three
+        # pairings of any four points, the two largest sums are equal
+        defects = four_point_defects(CORPUS[name](), Fraction(1, 2))
+        assert len(defects) == {"segment": 126, "theta": 17550}[name]
+        assert not any(defects)
+
+    def test_four_point_condition_fails_on_rose(self):
+        # genus 1: the quotient carries a loop, which the quarter grid sees
+        defects = four_point_defects(rose_track(), Fraction(1, 4))
+        assert len(defects) == 14950
+        assert sum(1 for x in defects if x) == 160
+        assert max(defects) == Fraction(1, 2)
 
     @pytest.mark.parametrize("name", sorted(CORPUS))
     def test_glued_points_at_distance_zero(self, name):
@@ -271,9 +313,10 @@ class TestQuotientMetric:
         for (p, q), approx in zip(pairs, grid):
             assert abs(metric.distance(p, q) - approx) <= 5 * step
 
-    def test_overflow_guard(self):
-        with pytest.raises(PartitionOverflow):
-            TrackMetric(theta_track(), [(0, Fraction(1, 7))], cap=3)
+    def test_overflow_guard(self, monkeypatch):
+        monkeypatch.setattr(traintrack, "CLOSURE_CAP", 3)
+        with pytest.raises(PartitionOverflow, match="exceeded 3 points"):
+            TrackMetric(theta_track(), [(0, Fraction(1, 7))])
 
     def test_query_points_validated(self):
         track = theta_track()
@@ -380,6 +423,10 @@ class TestGridMetric:
         assert grid_metric(track, [near], step=Fraction(1, 4)) == [Fraction(1)]
         with pytest.raises(ConstraintViolation, match="different components"):
             grid_metric(track, [near, far], step=Fraction(1, 4))
+        metric = TrackMetric(track, [near[0], near[1], far[1]])
+        assert metric.distance(*near) == 1
+        with pytest.raises(ConstraintViolation, match="different components"):
+            metric.distance(*far)
 
 
 class TestJson:
