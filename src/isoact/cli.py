@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import json
 import re
+import sys
 from fractions import Fraction
 
 import click
@@ -34,7 +35,6 @@ from .harmonic import (
     divergence,
     gram_inv_delta,
     gram_neg_log,
-    gram_neg_log_padic,
     poisson_transform,
     root_mean,
     tree_ball_graph,
@@ -55,6 +55,7 @@ from .traintrack import CORPUS, TrackMetric, track_from_json, track_to_json
 from .treeball import (
     TreeBall,
     abs_metric,
+    ball_vertex_count,
     boundary_derivative,
     cylinder_measure,
     freeword_automorphism,
@@ -65,6 +66,13 @@ CONFIG_KEYS = ("suite", "seed", "trials", "tolerance", "params")
 MAX_STEP_LEVEL = 10
 # primes are checked by trial division up to the square root, a thousand steps here
 MAX_PRIME = 10**6
+# the seed range of SuiteConfig
+SEED = click.IntRange(0, 2**64 - 1)
+# Work counts of the harmonic probes, worked out below from n, radius and k.
+# A unit takes about 11 us in poisson and 1 us in gram on a 2-vCPU VM, so
+# the largest accepted probe runs for about 3 s.
+MAX_POISSON_WORK = 3 * 10**5
+MAX_GRAM_WORK = 3 * 10**6
 
 
 def guarded(fn):
@@ -128,6 +136,14 @@ def parse_schedule(text: str):
         return [int(part) for part in text.split(",")]
     except ValueError as exc:
         raise ConfigError(f"schedule must be comma-separated integers, got {text!r}") from exc
+
+
+def require_work(command: str, work: int, cap: int, n: int, radius: int, k: int) -> None:
+    if work > cap:
+        raise ConfigError(
+            f"harmonic {command}: --n {n} --radius {radius} --k {k} give a work count of "
+            f"{work}, over the cap of {cap}; lower --radius, --k or --n"
+        )
 
 
 def suite_range(suite: str, name: str) -> click.IntRange:
@@ -330,11 +346,14 @@ def harmonic():
 @click.option("--n", type=int, default=2, show_default=True)
 @click.option("--radius", type=int, default=4, show_default=True)
 @click.option("--k", type=int, default=2, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=SEED, default=0, show_default=True)
 @guarded
 def harmonic_poisson(n, radius, k, seed):
     """Interior divergence of the transform of zero-mean boundary data."""
     ball = TreeBall(n, radius)
+    # the transform weighs every leaf from one end of every edge
+    leaves = (n + 1) * n ** (radius - 1)
+    require_work("poisson", (ball.vertex_count() - 1) * leaves, MAX_POISSON_WORK, n, radius, k)
     graph = tree_ball_graph(ball)
     rng = np.random.default_rng([seed, 0])
     cyls = cylinder_vertices(ball, k)
@@ -362,22 +381,21 @@ def harmonic_poisson(n, radius, k, seed):
 @click.option("--radius", type=int, default=4, show_default=True)
 @click.option("--k", type=int, default=2, show_default=True)
 @click.option(
-    "--kernel",
-    type=click.Choice(["inv_delta", "neg_log", "neg_log_padic"]),
-    default="neg_log",
-    show_default=True,
+    "--kernel", type=click.Choice(["inv_delta", "neg_log"]), default="neg_log", show_default=True
 )
-@click.option("--p", type=click.IntRange(2, MAX_PRIME), default=2, show_default=True)
 @guarded
-def harmonic_gram(n, radius, k, kernel, p):
+def harmonic_gram(n, radius, k, kernel):
     """Cylinder-difference gram matrix and its zero-mean minimal eigenvalue."""
     ball = TreeBall(n, radius)
-    if kernel == "inv_delta":
-        matrix = gram_inv_delta(ball, k)
-    elif kernel == "neg_log":
-        matrix = gram_neg_log(ball, k)
-    else:
-        matrix = gram_neg_log_padic(ball, k, p)
+    if not 1 <= k <= radius:
+        raise ConfigError(f"--k must lie in 1..{radius}, the radius, got {k}")
+    # gram_neg_log, the costlier kernel, walks the ball and every cylinder of
+    # depth 1..k once per entry of its (cylinders - 1)^2 entries
+    cylinders = (n + 1) * n ** (k - 1)
+    shallow = ball_vertex_count(n, k) - 1
+    work = (cylinders - 1) ** 2 * (k * ball.vertex_count() + 2 * cylinders * shallow)
+    require_work("gram", work, MAX_GRAM_WORK, n, radius, k)
+    matrix = gram_inv_delta(ball, k) if kernel == "inv_delta" else gram_neg_log(ball, k)
     m = len(matrix)
     dense = np.array([[float(x) for x in row] for row in matrix])
     ones = np.ones((m, 1)) / np.sqrt(m)
@@ -387,7 +405,7 @@ def harmonic_gram(n, radius, k, kernel, p):
     emit(
         {
             "kernel": kernel,
-            "params": {"n": n, "radius": radius, "k": k, "p": p},
+            "params": {"n": n, "radius": radius, "k": k},
             "matrix": [[str(x) for x in row] for row in matrix],
             "min_eigenvalue_zero_mean": min_eig,
         }
@@ -528,7 +546,7 @@ def mobius_length(g):
 
 
 @mobius.command(name="gns")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=SEED, default=0, show_default=True)
 @click.option("--size", type=suite_range("cpd-gns", "sample_size"), default=8, show_default=True)
 @guarded
 def mobius_gns(seed, size):
@@ -546,7 +564,7 @@ def mobius_gns(seed, size):
 
 
 @mobius.command(name="probe")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=SEED, default=0, show_default=True)
 @click.option("--powers", type=click.IntRange(4, MAX_TRIALS), default=20, show_default=True)
 @click.option("--slope-threshold", type=float, default=0.1, show_default=True)
 @guarded
@@ -608,11 +626,13 @@ def cocycle_lattice(first, second):
 @cocycle.command(name="bgroup")
 @click.option("--level", type=click.IntRange(0, MAX_STEP_LEVEL), default=3, show_default=True)
 @click.option("--trials", type=click.IntRange(1, MAX_TRIALS), default=25, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=SEED, default=0, show_default=True)
 @click.option("--tol", type=float, default=1e-9, show_default=True)
 @guarded
 def cocycle_bgroup(level, trials, seed, tol):
     """Step-automorphism cocycle identity with disc-isometry values."""
+    if not 0 < tol <= sys.float_info.max:
+        raise ConfigError(f"--tol must be a positive finite number, got {tol!r}")
     worst = 0.0
     for k in range(trials):
         rng = np.random.default_rng([seed, k])

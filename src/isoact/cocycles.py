@@ -41,7 +41,7 @@ from .errors import (
     IllConditionedPhi,
 )
 from .exact import QComplex
-from .groups import FiniteMeasure, FreeWord, SpMatrix, SuMatrix
+from .groups import FiniteMeasure, FreeWord, SpMatrix, SuMatrix, _to_complex
 
 # ---------------------------------------------------------------------------
 # Symplectic phase cocycle
@@ -78,7 +78,7 @@ def _checked_phase(g: SpMatrix) -> np.ndarray:
     return p
 
 
-def tau(g1: SpMatrix, g2: SpMatrix, margin: float = TAU_BRANCH_MARGIN) -> float:
+def tau(g1: SpMatrix, g2: SpMatrix) -> float:
     """Phase defect ``Im tr Log(Phi(g1)^-1 Phi(g1 g2) Phi(g2)^-1)``.
 
     Identity arguments return exactly ``0.0``: the phase factor of the
@@ -97,7 +97,7 @@ def tau(g1: SpMatrix, g2: SpMatrix, margin: float = TAU_BRANCH_MARGIN) -> float:
     p12 = _checked_phase(g1 * g2)
     defect = np.linalg.solve(p1, p12) @ np.linalg.inv(p2)
     distance = float(np.linalg.norm(defect - np.eye(g1.n), 2))
-    if distance >= 1.0 - margin:
+    if distance >= 1.0 - TAU_BRANCH_MARGIN:
         raise BranchGuard(
             f"defect matrix sits {distance:.6f} from the identity; "
             "principal logarithms are not trustworthy"
@@ -172,18 +172,12 @@ def multiplier_ratio(g: SuMatrix, h: SuMatrix):
     prod = g * h
     if g.exact and h.exact:
         return prod.a / (g.a * h.a)
-    a_g = g.a.to_complex() if g.exact else complex(g.a)
-    a_h = h.a.to_complex() if h.exact else complex(h.a)
-    a_gh = prod.a.to_complex() if prod.exact else complex(prod.a)
-    return a_gh / (a_g * a_h)
+    return _to_complex(prod.a) / (_to_complex(g.a) * _to_complex(h.a))
 
 
 def sigma_pair(g: SuMatrix, h: SuMatrix) -> float:
     """``-Im Log W(g, h)``: the angular part of the multiplier defect."""
-    w = multiplier_ratio(g, h)
-    if isinstance(w, QComplex):
-        w = w.to_complex()
-    return -cmath.phase(w)
+    return -cmath.phase(_to_complex(multiplier_ratio(g, h)))
 
 
 def sigma_pair_orthogonal(g: FreeWord, h: FreeWord) -> Fraction:
@@ -208,11 +202,7 @@ def sigma_measures(mu: FiniteMeasure, nu: FiniteMeasure, pair=sigma_pair):
     total = None
     for g, p in mu.atoms:
         for h, q in nu.atoms:
-            term = pair(g, h)
-            if isinstance(term, Fraction):
-                contribution = p * q * term
-            else:
-                contribution = float(p * q) * term
+            contribution = p * q * pair(g, h)
             total = contribution if total is None else total + contribution
     if total is None:
         raise ConstraintViolation("measures must have at least one atom")
@@ -347,11 +337,7 @@ def step_cocycle(
     weight = Fraction(1, 2**level)
     total = None
     for i in range(2**level):
-        term = pair(g1.values[g2.perm[i]], g2.values[i])
-        if isinstance(term, Fraction):
-            contribution = weight * term
-        else:
-            contribution = float(weight) * term
+        contribution = weight * pair(g1.values[g2.perm[i]], g2.values[i])
         total = contribution if total is None else total + contribution
     return total
 

@@ -53,10 +53,6 @@ class InvalidCoordinate(IsoactError):
     """A strip-space point lies outside its declared segment."""
 
 
-class TreeMismatch(IsoactError):
-    """Edge vectors over different trees cannot be paired."""
-
-
 class BranchGuard(IsoactError):
     """A principal-branch logarithm guard failed; input rejected."""
 

@@ -22,7 +22,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Tuple, Union
+from typing import Iterable, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -381,15 +381,10 @@ class FiniteMeasure:
         return FiniteMeasure(atoms)
 
 
-def measure_convolve(
-    mu: FiniteMeasure,
-    nu: FiniteMeasure,
-    op: Callable[[object, object], object] | None = None,
-) -> FiniteMeasure:
-    """Convolution: atoms ``op(g, h)`` with weights ``p q``, merged exactly.
+def measure_convolve(mu: FiniteMeasure, nu: FiniteMeasure) -> FiniteMeasure:
+    """Convolution: atoms ``g * h`` with weights ``p q``, merged exactly.
 
-    ``op`` defaults to ``*``.  Raises :class:`GroupMismatch` when atom types
-    differ or lack a product.
+    Raises :class:`GroupMismatch` when atom types differ or lack a product.
     """
     if mu.atoms and nu.atoms:
         t1 = type(mu.atoms[0][0])
@@ -400,7 +395,7 @@ def measure_convolve(
     for g, p in mu.atoms:
         for h, q in nu.atoms:
             try:
-                gh = op(g, h) if op is not None else g * h
+                gh = g * h
             except TypeError as exc:
                 raise GroupMismatch(f"atoms of type {type(g).__name__} have no product") from exc
             pairs.append((gh, p * q))

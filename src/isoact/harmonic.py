@@ -33,7 +33,6 @@ from .errors import (
     ConstraintViolation,
     NotZeroMean,
     SolveFailure,
-    TreeMismatch,
 )
 from .treeball import (
     Address,
@@ -41,7 +40,6 @@ from .treeball import (
     common_prefix_length,
     cylinder_measure,
     measure_from,
-    require_prime,
 )
 
 
@@ -108,12 +106,12 @@ def divergence(graph: OrientedGraph, h: Sequence) -> List:
 def mean_value_laplacian(ball: TreeBall, graph: OrientedGraph, f: Sequence) -> Dict[int, object]:
     """``f - (neighbour average)`` at interior vertices of a tree ball.
 
-    Returned as a map from vertex index to value; boundary vertices are
-    omitted because their window degree understates the tree degree.
+    ``f`` holds integers or Fractions, and the values are exact.  Returned
+    as a map from vertex index to value; boundary vertices are omitted
+    because their window degree understates the tree degree.
     """
     p = ball.n + 1
-    exact = all(isinstance(x, (int, Fraction)) for x in f)
-    out: Dict[int, object] = {}
+    out = {}
     for i in range(len(graph.vertices)):
         if not graph.interior[i]:
             continue
@@ -121,7 +119,7 @@ def mean_value_laplacian(ball: TreeBall, graph: OrientedGraph, f: Sequence) -> D
         for e, sign in graph.incident[i]:
             t, h = graph.edges[e]
             acc = acc + f[t if sign > 0 else h]
-        out[i] = Fraction(p * f[i] - acc, p) if exact else f[i] - acc / p
+        out[i] = Fraction(p * f[i] - acc, p)
     return out
 
 
@@ -287,19 +285,6 @@ def gram_neg_log(ball: TreeBall, k: int) -> List[List[Fraction]]:
         return acc + Fraction(1, n - 1) * mu_k * mu_k * tail
 
     return [[entry(f, g) for g in basis] for f in basis]
-
-
-def gram_neg_log_padic(ball: TreeBall, k: int, p: int) -> List[List[Fraction]]:
-    """Same kernel read through the p-adic metric on the boundary.
-
-    When ``n`` equals the prime ``p`` the visual metric coincides with the
-    p-adic chordal metric, so the gram is the one of :func:`gram_neg_log`;
-    any other ``n`` is a category error and raises :class:`TreeMismatch`.
-    """
-    require_prime(p)
-    if ball.n != p:
-        raise TreeMismatch(f"ball branching {ball.n} does not realise the {p}-adic boundary")
-    return gram_neg_log(ball, k)
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .errors import ConstraintViolation, IllConditionedPhi
-from .exact import QComplex
-from .groups import SuMatrix
+from .groups import SuMatrix, _to_complex
 
 # ---------------------------------------------------------------------------
 # Closed forms
@@ -46,7 +45,7 @@ from .groups import SuMatrix
 
 def phi(g: SuMatrix) -> float:
     """Squared cocycle norm ``|gamma(g)|^2 = 2 log |a|``."""
-    a = g.a.to_complex() if g.exact else complex(g.a)
+    a = _to_complex(g.a)
     return math.log(a.real * a.real + a.imag * a.imag)
 
 
@@ -64,10 +63,7 @@ def gram_ratio(g1: SuMatrix, g2: SuMatrix):
 
 def gamma_gram(g1: SuMatrix, g2: SuMatrix) -> complex:
     """Closed form ``<gamma(g1), gamma(g2)> = -Log(1 - u)``."""
-    u = gram_ratio(g1, g2)
-    if isinstance(u, QComplex):
-        u = u.to_complex()
-    return -cmath.log(1 - u)
+    return -cmath.log(1 - _to_complex(gram_ratio(g1, g2)))
 
 
 def asymptotic_error(g: SuMatrix) -> float:
@@ -76,8 +72,8 @@ def asymptotic_error(g: SuMatrix) -> float:
     The squared norm tracks twice the displacement up to the additive
     constant ``-2 log 2``; the error equals ``2 log(2|a| / (|a| + |b|))``.
     """
-    a = abs(g.a.to_complex() if g.exact else complex(g.a))
-    b = abs(g.b.to_complex() if g.exact else complex(g.b))
+    a = abs(_to_complex(g.a))
+    b = abs(_to_complex(g.b))
     return 2.0 * math.log(2.0 * a / (a + b))
 
 
@@ -100,8 +96,8 @@ def gamma_vector(g: SuMatrix, degree: int) -> np.ndarray:
     The geometric expansion gives ``c_k = (conj(b)/conj(a))dot
     (-conj(b)/conj(a))^k``.
     """
-    a = g.a.to_complex() if g.exact else complex(g.a)
-    b = g.b.to_complex() if g.exact else complex(g.b)
+    a = _to_complex(g.a)
+    b = _to_complex(g.b)
     base = b.conjugate() / a.conjugate()
     out = np.empty(degree + 1, dtype=complex)
     val = base
@@ -118,8 +114,8 @@ def pi_matrix(g: SuMatrix, degree: int) -> np.ndarray:
     multiplies by the point-map series, so every retained row is free of
     truncation error; only columns beyond ``degree`` are missing.
     """
-    a = g.a.to_complex() if g.exact else complex(g.a)
-    b = g.b.to_complex() if g.exact else complex(g.b)
+    a = _to_complex(g.a)
+    b = _to_complex(g.b)
     ac, bc = a.conjugate(), b.conjugate()
     n = degree + 1
     ratio = -bc / ac
@@ -135,21 +131,19 @@ def pi_matrix(g: SuMatrix, degree: int) -> np.ndarray:
     return mat
 
 
-def affine_cocycle_residual(g1: SuMatrix, g2: SuMatrix, degree: int = 120, rows: int | None = None) -> float:
+def affine_cocycle_residual(g1: SuMatrix, g2: SuMatrix, degree: int = 120) -> float:
     """Norm of ``gamma(g1 g2) - pi(g2) gamma(g1) - gamma(g2)``.
 
     Computed on coefficients up to ``degree`` and measured in the true
-    weighted norm over rows up to ``rows`` (default half the degree).  The
-    only inexactness is the missing columns beyond ``degree``, which decay
+    weighted norm over the rows up to half the degree.  The only
+    inexactness is the missing columns beyond ``degree``, which decay
     geometrically in the moduli ratio of ``g1``.
     """
-    if rows is None:
-        rows = degree // 2
     v12 = gamma_vector(g1 * g2, degree)
     v1 = gamma_vector(g1, degree)
     v2 = gamma_vector(g2, degree)
     defect = v12 - pi_matrix(g2, degree) @ v1 - v2
-    return math.sqrt(bergman_norm2(defect[: rows + 1]))
+    return math.sqrt(bergman_norm2(defect[: degree // 2 + 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -159,15 +153,16 @@ def affine_cocycle_residual(g1: SuMatrix, g2: SuMatrix, degree: int = 120, rows:
 PARABOLIC_TOL = 1e-9
 
 
-def hyperbolic_length(g: SuMatrix, tol: float = PARABOLIC_TOL) -> float:
+def hyperbolic_length(g: SuMatrix) -> float:
     """Minimal displacement ``inf_z d(z, g z)``.
 
     Positive exactly when ``|trace| > 2``: the multiplier ``lambda`` is the
     larger root of ``x^2 - |tr| x + 1`` and the length is ``log lambda``.
-    Elliptic and parabolic (within ``tol`` of ``|trace| = 2``) give zero.
+    Elliptic and parabolic (within ``PARABOLIC_TOL`` of ``|trace| = 2``)
+    give zero.
     """
     tr = abs(g.trace())
-    if tr <= 2.0 + tol:
+    if tr <= 2.0 + PARABOLIC_TOL:
         return 0.0
     half = tr / 2.0
     return math.log(half + math.sqrt(half * half - 1.0))
@@ -228,17 +223,21 @@ def gns_gram(elements: Sequence[SuMatrix]) -> np.ndarray:
     return out
 
 
-def gns_vectors(gram: np.ndarray, tol: float = 1e-6) -> np.ndarray:
+GNS_NEGATIVE_TOL = 1e-6
+
+
+def gns_vectors(gram: np.ndarray) -> np.ndarray:
     """Rows are vectors realising the gram; fails loudly off the cone.
 
     Raises :class:`IllConditionedPhi` when the gram has an eigenvalue more
-    negative than ``tol`` times the largest, which would mean the kernel
-    arithmetic upstream produced something that is not a gram at all.
+    negative than ``GNS_NEGATIVE_TOL`` times the largest, which would mean
+    the kernel arithmetic upstream produced something that is not a gram
+    at all.
     """
     sym = (gram + gram.T) / 2.0
     vals, vecs = np.linalg.eigh(sym)
     top = max(float(vals[-1]), 1.0)
-    if float(vals[0]) < -tol * top:
+    if float(vals[0]) < -GNS_NEGATIVE_TOL * top:
         raise IllConditionedPhi(f"gram eigenvalue {vals[0]:.3e} is negative beyond tolerance")
     clipped = np.clip(vals, 0.0, None)
     return vecs @ np.diag(np.sqrt(clipped))

@@ -13,7 +13,6 @@ from isoact.errors import (
     ConstraintViolation,
     NotZeroMean,
     SolveFailure,
-    TreeMismatch,
 )
 import isoact
 from isoact.harmonic import (
@@ -25,7 +24,6 @@ from isoact.harmonic import (
     gradient,
     gram_inv_delta,
     gram_neg_log,
-    gram_neg_log_padic,
     harmonic_decompose,
     mean_value_laplacian,
     poisson_transform,
@@ -293,14 +291,6 @@ class TestKernelGrams:
         ball = TreeBall(2, 5)
         gram = np.array([[float(x) for x in row] for row in gram_neg_log(ball, 2)])
         assert np.min(np.linalg.eigvalsh(gram)) > 0
-
-    def test_padic_guards(self):
-        ball = TreeBall(3, 4)
-        assert gram_neg_log_padic(ball, 1, 3) == gram_neg_log(ball, 1)
-        with pytest.raises(TreeMismatch):
-            gram_neg_log_padic(ball, 1, 2)
-        with pytest.raises(ConstraintViolation):
-            gram_neg_log_padic(TreeBall(4, 3), 1, 4)
 
     def test_basis_is_zero_mean(self):
         ball = TreeBall(2, 4)

@@ -93,8 +93,8 @@ class TestRows:
 
 class TestSuiteConfig:
     def test_field_validation(self):
-        with pytest.raises(ConfigError, match="'mode'.*'fuzzy'"):
-            resolve_config(SuiteConfig.make("tree-identities", params={"mode": "fuzzy"}))
+        with pytest.raises(ConfigError, match="'radii'.*'fuzzy'"):
+            resolve_config(SuiteConfig.make("h1", params={"radii": "fuzzy"}))
         with pytest.raises(ConfigError, match="seed"):
             SuiteConfig.make("bergman", seed=-1)
         with pytest.raises(ConfigError, match="seed"):
@@ -196,9 +196,9 @@ class TestResolution:
         rc = resolve_config(SuiteConfig.make("bergman"))
         assert rc.trials == 50 and rc.tolerance == 1e-6
         assert rc.params == {"degree": 100, "max_ratio": 0.8}
-        assert resolve_config(SuiteConfig.make("tree-identities")).params["mode"] == "exact"
-        cfg = SuiteConfig.make("tree-identities", params={"mode": "float"})
-        assert resolve_config(cfg).params["mode"] == "float"
+        assert resolve_config(SuiteConfig.make("h1")).params["radii"] == (6, 8, 10)
+        cfg = SuiteConfig.make("h1", params={"radii": [4, 5]})
+        assert resolve_config(cfg).params["radii"] == (4, 5)
 
     @pytest.mark.parametrize(
         "suite, key, value",
@@ -392,7 +392,9 @@ class TestRunCommand:
             resolve_config(SuiteConfig.make("traintrack", tolerance=5e-3))
         assert resolve_config(SuiteConfig.make("traintrack")).tolerance == 5e-3
 
-    @pytest.mark.parametrize("suite", ["translation-length", "length-recovery", "triangle"])
+    @pytest.mark.parametrize(
+        "suite", ["translation-length", "length-recovery", "triangle", "tree-identities"]
+    )
     def test_exact_suites_refuse_a_tolerance(self, suite, tmp_path):
         # every row is exact at tolerance 0, so a given tolerance would change only the digest
         result = self.invoke("run", "--suite", suite, "--trials", "1", "--tol", "1e-3")
@@ -534,6 +536,9 @@ class TestModuleCommands:
             (("rtree", "length", "--word", '{"a":1}'), "--word"),
             (("rtree", "length", "--word", "[3]"), "--word"),
             (("rtree", "metric", "--track", TWO_SEGMENTS, "--points", '[[0,"0"],[1,"1"]]'), "components"),
+            (("cocycle", "bgroup", "--trials", "1", "--tol", "nan"), "--tol"),
+            (("cocycle", "bgroup", "--trials", "1", "--tol", "-1"), "--tol"),
+            (("cocycle", "bgroup", "--trials", "1", "--tol", "inf"), "--tol"),
         ],
     )
     def test_bad_probe_argument_is_one_error_line(self, args, key):
@@ -546,6 +551,8 @@ class TestModuleCommands:
             ("tree", "dist", "--n", "3", "--radius", "40", "--u", "[]", "--v", "[]"),
             ("immobile", "func", "--schedule", "4,30"),
             ("harmonic", "poisson", "--radius", "25"),
+            ("harmonic", "poisson", "--n", "2", "--radius", "10"),
+            ("harmonic", "gram", "--n", "2", "--radius", "6", "--k", "6"),
         ],
     )
     def test_oversized_ball_refused_before_work(self, args):
@@ -568,7 +575,12 @@ class TestModuleCommands:
             (("mobius", "probe", "--powers", "3"), "--powers"),
             (("mobius", "probe", "--powers", str(MAX_TRIALS + 1)), "--powers"),
             (("tree", "latdist", "--p", "1000000000000037", "--m1", "[[1,0],[0,1]]", "--m2", "[[2,0],[0,1]]"), "--p"),
-            (("harmonic", "gram", "--kernel", "neg_log_padic", "--p", "1"), "--p"),
+            (("harmonic", "gram", "--p", "2"), "--p"),
+            (("harmonic", "poisson", "--seed", "-1"), "--seed"),
+            (("mobius", "gns", "--seed", "-1"), "--seed"),
+            (("mobius", "probe", "--seed", "-1"), "--seed"),
+            (("cocycle", "bgroup", "--seed", "-1"), "--seed"),
+            (("mobius", "probe", "--seed", str(2**64)), "--seed"),
         ],
     )
     def test_bgroup_sizes_bounded(self, args, key):
