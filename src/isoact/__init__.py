@@ -7,10 +7,11 @@ suites (:mod:`isoact.suites`) that check the defining identities of
 each construction.  ``isoact run --suite <name>`` drives the suites
 from the command line with deterministic, byte-stable reports.
 
-Exact arithmetic (``fractions.Fraction``, :class:`isoact.exact.QComplex`)
-is used wherever an identity holds on the nose; floating point appears
-only where a construction is genuinely analytic, always with an
-explicit tolerance.
+Exact arithmetic (``fractions.Fraction``) is used wherever an identity
+holds on the nose; floating point appears only where a construction is
+genuinely analytic, always with an explicit tolerance.  Disc isometries
+are one such place: their entries are complex floats, and rational input
+is checked exactly before it is rounded to them.
 
 Importing the package sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``
 and ``MKL_NUM_THREADS`` to ``1`` where they are unset.  The linear
@@ -35,7 +36,6 @@ from .errors import (
     IsoactError,
     VertexNotFound,
 )
-from .exact import QComplex
 from .groups import FiniteMeasure, FreeWord, SpMatrix, SuMatrix
 from .report import Report, SuiteConfig
 from .suites import resolve_config, run_suite, suite_names
@@ -52,7 +52,6 @@ __all__ = [
     "IllConditionedPhi",
     "IoError",
     "IsoactError",
-    "QComplex",
     "Report",
     "SpMatrix",
     "SuMatrix",

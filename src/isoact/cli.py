@@ -28,7 +28,6 @@ from .cocycles import (
     step_cocycle_residual,
 )
 from .errors import BadGeneratorIndex, ConfigError, ConstraintViolation, IsoactError
-from .exact import QComplex
 from .groups import su_from_json, su_random, word_from_json
 from .harmonic import (
     cylinder_vertices,
@@ -48,14 +47,13 @@ from .immobile import (
     indicator_from_json,
     subset_from_json,
 )
-from .report import MAX_TRIALS, SuiteConfig, emit_report, render_report
+from .report import MAX_TRIALS, SuiteConfig, check_row, emit_report, render_report
 from .rtree import free_cayley_gamma, translation_length
 from .suites import REGISTRY, run_suite
 from .traintrack import CORPUS, TrackMetric, track_from_json, track_to_json
 from .treeball import (
     TreeBall,
     abs_metric,
-    ball_vertex_count,
     boundary_derivative,
     cylinder_measure,
     freeword_automorphism,
@@ -69,10 +67,10 @@ MAX_PRIME = 10**6
 # the seed range of SuiteConfig
 SEED = click.IntRange(0, 2**64 - 1)
 # Work counts of the harmonic probes, worked out below from n, radius and k.
-# A unit takes about 11 us in poisson and 1 us in gram on a 2-vCPU VM, so
+# A unit takes about 11 us in poisson and 1.2 us in gram on a 2-vCPU VM, so
 # the largest accepted probe runs for about 3 s.
 MAX_POISSON_WORK = 3 * 10**5
-MAX_GRAM_WORK = 3 * 10**6
+MAX_GRAM_WORK = 25 * 10**5
 
 
 def guarded(fn):
@@ -365,13 +363,14 @@ def harmonic_poisson(n, radius, k, seed):
     worst = max(
         (abs(div[i]) for i, flag in enumerate(graph.interior) if flag), default=Fraction(0)
     )
+    params = {"n": n, "radius": radius, "k": k, "seed": seed}
     emit(
         {
             "check": "poisson-interior-divergence",
-            "params": {"n": n, "radius": radius, "k": k, "seed": seed},
+            "params": params,
             "root_mean": str(root_mean(ball, k, data)),
             "residual": str(worst),
-            "verdict": "pass" if worst == 0 else "fail",
+            "verdict": check_row("poisson-interior-divergence", params, worst, worst, 0).verdict,
         }
     )
 
@@ -389,11 +388,10 @@ def harmonic_gram(n, radius, k, kernel):
     ball = TreeBall(n, radius)
     if not 1 <= k <= radius:
         raise ConfigError(f"--k must lie in 1..{radius}, the radius, got {k}")
-    # gram_neg_log, the costlier kernel, walks the ball and every cylinder of
-    # depth 1..k once per entry of its (cylinders - 1)^2 entries
+    # gram_inv_delta, the costlier kernel, scans every cylinder for each of
+    # its (cylinders - 1)^2 entries; gram_neg_log pairs k sparse levels
     cylinders = (n + 1) * n ** (k - 1)
-    shallow = ball_vertex_count(n, k) - 1
-    work = (cylinders - 1) ** 2 * (k * ball.vertex_count() + 2 * cylinders * shallow)
+    work = (cylinders - 1) ** 2 * cylinders
     require_work("gram", work, MAX_GRAM_WORK, n, radius, k)
     matrix = gram_inv_delta(ball, k) if kernel == "inv_delta" else gram_neg_log(ball, k)
     m = len(matrix)
@@ -560,7 +558,9 @@ def mobius_gns(seed, size):
         for j, gj in enumerate(els):
             dist2 = float(np.sum((vecs[i] - vecs[j]) ** 2))
             worst = max(worst, abs(dist2 - mo.phi(gi * gj.inverse())))
-    emit({"distance_residual": worst, "size": size, "verdict": "pass" if worst <= 1e-9 else "fail"})
+    tolerance = REGISTRY["cpd-gns"].default_tolerance
+    verdict = check_row("gns-distance", {"seed": seed, "size": size}, worst, worst, tolerance).verdict
+    emit({"distance_residual": worst, "size": size, "verdict": verdict})
 
 
 @mobius.command(name="probe")
@@ -614,7 +614,7 @@ def cocycle_lattice(first, second):
         return [
             (
                 parse_rational(alpha, what),
-                tuple(QComplex(parse_rational(re, what), parse_rational(im, what)) for re, im in vec),
+                tuple((parse_rational(re, what), parse_rational(im, what)) for re, im in vec),
             )
             for alpha, vec in entries
         ]
@@ -640,12 +640,13 @@ def cocycle_bgroup(level, trials, seed, tol):
             random_step_automorphism(rng, level, lambda r: su_random(r, 0.6)) for _ in range(3)
         )
         worst = max(worst, step_cocycle_residual(f1, f2, f3, sigma_pair))
+    inputs = {"level": level, "trials": trials, "seed": seed}
     emit(
         {
             "level": level,
             "trials": trials,
             "max_residual": worst,
-            "verdict": "pass" if worst <= tol else "fail",
+            "verdict": check_row("step-cocycle", inputs, worst, worst, tol).verdict,
         }
     )
 

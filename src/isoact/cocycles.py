@@ -40,8 +40,7 @@ from .errors import (
     GroupMismatch,
     IllConditionedPhi,
 )
-from .exact import QComplex
-from .groups import FiniteMeasure, FreeWord, SpMatrix, SuMatrix, _to_complex
+from .groups import FiniteMeasure, FreeWord, SpMatrix, SuMatrix
 
 # ---------------------------------------------------------------------------
 # Symplectic phase cocycle
@@ -161,23 +160,20 @@ def tau_cocycle_residuals(
 # ---------------------------------------------------------------------------
 
 
-def multiplier_ratio(g: SuMatrix, h: SuMatrix):
-    """``W(g, h) = a(gh) / (a(g) a(h))``; exact for exact inputs.
+def multiplier_ratio(g: SuMatrix, h: SuMatrix) -> complex:
+    """``W(g, h) = a(gh) / (a(g) a(h))``.
 
     Satisfies ``|W - 1| = |b(g) b(h) / (a(g) a(h))| < 1``, so W never
     leaves the right half plane and its argument is always principal.
     Telescopes over triples: ``W(g, h) W(gh, k) = W(h, k) W(g, hk)``,
     both sides being ``a(ghk) / (a(g) a(h) a(k))``.
     """
-    prod = g * h
-    if g.exact and h.exact:
-        return prod.a / (g.a * h.a)
-    return _to_complex(prod.a) / (_to_complex(g.a) * _to_complex(h.a))
+    return (g * h).a / (g.a * h.a)
 
 
 def sigma_pair(g: SuMatrix, h: SuMatrix) -> float:
     """``-Im Log W(g, h)``: the angular part of the multiplier defect."""
-    return -cmath.phase(_to_complex(multiplier_ratio(g, h)))
+    return -cmath.phase(multiplier_ratio(g, h))
 
 
 def sigma_pair_orthogonal(g: FreeWord, h: FreeWord) -> Fraction:
@@ -232,25 +228,24 @@ def sigma_convolution_residual(
 # Exact symplectic pairing on complex lattices
 # ---------------------------------------------------------------------------
 
-LatticeCombo = Sequence[Tuple[Fraction, Tuple[QComplex, ...]]]
+# a coordinate is a Gaussian rational, held as its (re, im) pair of Fractions
+LatticeCombo = Sequence[Tuple[Fraction, Tuple[Tuple[Fraction, Fraction], ...]]]
 
 
 def lattice_sigma(first: LatticeCombo, second: LatticeCombo) -> Fraction:
     """``sum alpha alpha' Im <v, v'>`` over two formal combinations.
 
-    The hermitian pairing of coordinate tuples has an exact imaginary
-    part in rational arithmetic; the basis vectors ``(1,)`` and ``(i,)``
-    pair to ``-1``.
+    The hermitian pairing of coordinate tuples has the exact imaginary
+    part ``Im <v, w> = sum (x_im y_re - x_re y_im)`` in rational
+    arithmetic; the basis vectors ``(1,)`` and ``(i,)`` pair to ``-1``.
     """
     total = Fraction(0)
     for alpha, vec in first:
         for beta, wec in second:
             if len(vec) != len(wec):
                 raise ConstraintViolation("lattice vectors must share a dimension")
-            inner = QComplex(0, 0)
-            for x, y in zip(vec, wec):
-                inner = inner + x * y.conj()
-            total += Fraction(alpha) * Fraction(beta) * inner.im
+            im = sum(x_im * y_re - x_re * y_im for (x_re, x_im), (y_re, y_im) in zip(vec, wec))
+            total += Fraction(alpha) * Fraction(beta) * im
     return total
 
 

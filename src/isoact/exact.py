@@ -1,112 +1,14 @@
-"""Exact Gaussian-rational arithmetic.
+"""Reading and writing exact rationals.
 
-:class:`QComplex` is a complex number whose real and imaginary parts are
-:class:`fractions.Fraction` values.  It supports the field operations plus
-conjugation and squared modulus, which is all the exact backends of this
-package need.  Values are immutable and hashable.
+Every exact quantity in the package is a :class:`fractions.Fraction`; it
+is read from ``"p/q"`` (or integer) input and written back in the same
+form.  A Gaussian rational, where one is needed, is a pair of Fractions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
-
-RationalLike = Union[int, Fraction]
-
-
-def _coerce(value: RationalLike) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
-
-
-@dataclass(frozen=True)
-class QComplex:
-    """A complex number with exact rational real and imaginary parts.
-
-    Examples
-    --------
-    >>> i = QComplex(0, 1)
-    >>> (i * i).re
-    Fraction(-1, 1)
-    >>> QComplex(3, 4).abs2()
-    Fraction(25, 1)
-    """
-
-    re: Fraction
-    im: Fraction
-
-    def __init__(self, re: RationalLike = 0, im: RationalLike = 0) -> None:
-        object.__setattr__(self, "re", _coerce(re))
-        object.__setattr__(self, "im", _coerce(im))
-
-    def __add__(self, other: "QComplex") -> "QComplex":
-        other = _as_qc(other)
-        return QComplex(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "QComplex") -> "QComplex":
-        other = _as_qc(other)
-        return QComplex(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other: "QComplex") -> "QComplex":
-        return _as_qc(other) - self
-
-    def __mul__(self, other: "QComplex") -> "QComplex":
-        other = _as_qc(other)
-        return QComplex(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "QComplex") -> "QComplex":
-        other = _as_qc(other)
-        d = other.abs2()
-        if d == 0:
-            raise ZeroDivisionError("division by zero QComplex")
-        num = self * other.conj()
-        return QComplex(num.re / d, num.im / d)
-
-    def __rtruediv__(self, other: "QComplex") -> "QComplex":
-        return _as_qc(other) / self
-
-    def __neg__(self) -> "QComplex":
-        return QComplex(-self.re, -self.im)
-
-    def conj(self) -> "QComplex":
-        return QComplex(self.re, -self.im)
-
-    def abs2(self) -> Fraction:
-        """Exact squared modulus."""
-        return self.re * self.re + self.im * self.im
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"QComplex({self.re!s}, {self.im!s})"
-
-
-def _as_qc(value) -> QComplex:
-    if isinstance(value, QComplex):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return QComplex(value, 0)
-    raise TypeError(f"cannot mix QComplex with {type(value).__name__}")
-
-
-QC_ZERO = QComplex(0, 0)
-QC_ONE = QComplex(1, 0)
-QC_I = QComplex(0, 1)
 
 
 def parse_fraction(text: Union[str, int]) -> Fraction:

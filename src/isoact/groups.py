@@ -11,9 +11,9 @@ Three families of elements appear in the affine-action constructions:
 plus :class:`FiniteMeasure`, a finitely supported probability measure with
 exact rational weights over any of the above.
 
-Entries of :class:`SuMatrix` come in two backends: Python ``complex`` for
-asymptotic work and :class:`~isoact.exact.QComplex` for identities that must
-hold with zero residual.  Operations never mix backends silently.
+Entries of :class:`SuMatrix` are Python ``complex`` numbers.  Rational
+input (``"p/q"`` strings) is checked against ``|a|^2 - |b|^2 = 1`` exactly
+and then stored as its nearest floats.
 """
 
 from __future__ import annotations
@@ -31,23 +31,9 @@ from .errors import (
     ConstraintViolation,
     GroupMismatch,
 )
-from .exact import QComplex, parse_fraction
-
-ComplexLike = Union[complex, QComplex]
+from .exact import parse_fraction
 
 SU_CONSTRAINT_TOL = 1e-12
-
-
-def _conj(z: ComplexLike) -> ComplexLike:
-    return z.conj() if isinstance(z, QComplex) else z.conjugate()
-
-
-def _abs2(z: ComplexLike):
-    return z.abs2() if isinstance(z, QComplex) else (z.real * z.real + z.imag * z.imag)
-
-
-def _to_complex(z: ComplexLike) -> complex:
-    return z.to_complex() if isinstance(z, QComplex) else complex(z)
 
 
 # ---------------------------------------------------------------------------
@@ -59,61 +45,41 @@ def _to_complex(z: ComplexLike) -> complex:
 class SuMatrix:
     """An element ``(a b; conj(b) conj(a))`` with ``|a|^2 - |b|^2 = 1``.
 
-    The two entries fully determine the matrix.  ``exact`` entries are
-    :class:`QComplex`; float entries are Python ``complex``.
+    The two complex entries fully determine the matrix.
     """
 
-    a: ComplexLike
-    b: ComplexLike
-
-    @property
-    def exact(self) -> bool:
-        return isinstance(self.a, QComplex)
+    a: complex
+    b: complex
 
     def defect(self) -> float:
-        """``|a|^2 - |b|^2 - 1`` as a float (0.0 for valid exact entries)."""
-        return float(_abs2(self.a) - _abs2(self.b) - 1)
+        """``|a|^2 - |b|^2 - 1`` as a float."""
+        a, b = self.a, self.b
+        return float((a.real * a.real + a.imag * a.imag) - (b.real * b.real + b.imag * b.imag) - 1)
 
     def __mul__(self, other: "SuMatrix") -> "SuMatrix":
-        if self.exact != other.exact:
-            raise GroupMismatch("cannot multiply exact and float SuMatrix values")
-        a = self.a * other.a + self.b * _conj(other.b)
-        b = self.a * other.b + self.b * _conj(other.a)
+        a = self.a * other.a + self.b * other.b.conjugate()
+        b = self.a * other.b + self.b * other.a.conjugate()
         return SuMatrix(a, b)
 
     def inverse(self) -> "SuMatrix":
         """Structure-preserving inverse ``(conj(a), -b)``."""
-        return SuMatrix(_conj(self.a), -self.b)
+        return SuMatrix(self.a.conjugate(), -self.b)
 
     def trace(self) -> float:
-        return 2.0 * _to_complex(self.a).real
+        return 2.0 * self.a.real
 
     def is_identity(self) -> bool:
-        if self.exact:
-            return self.a == QComplex(1, 0) and self.b.is_zero()
         return self.a == 1 and self.b == 0
 
 
-def su_from_params(a: ComplexLike, b: ComplexLike) -> SuMatrix:
-    """Build an :class:`SuMatrix`, enforcing ``|a|^2 - |b|^2 = 1``.
-
-    Exact entries must satisfy the constraint exactly; float entries within
+def su_from_params(a: complex, b: complex) -> SuMatrix:
+    """Build an :class:`SuMatrix`, enforcing ``|a|^2 - |b|^2 = 1`` within
     ``1e-12``.  Raises :class:`ConstraintViolation` otherwise.
     """
-    a_exact = isinstance(a, QComplex)
-    b_exact = isinstance(b, QComplex)
-    if a_exact != b_exact:
-        raise ConstraintViolation("entries must share a backend (both exact or both float)")
     g = SuMatrix(a, b)
-    if a_exact:
-        if _abs2(a) - _abs2(b) != 1:
-            raise ConstraintViolation(
-                f"|a|^2 - |b|^2 = {_abs2(a) - _abs2(b)} != 1 (exact entries)"
-            )
-    else:
-        defect = g.defect()
-        if abs(defect) > SU_CONSTRAINT_TOL:
-            raise ConstraintViolation(f"|a|^2 - |b|^2 - 1 = {defect:.3e} exceeds 1e-12")
+    defect = g.defect()
+    if abs(defect) > SU_CONSTRAINT_TOL:
+        raise ConstraintViolation(f"|a|^2 - |b|^2 - 1 = {defect:.3e} exceeds 1e-12")
     return g
 
 
@@ -139,8 +105,9 @@ def su_random(rng: np.random.Generator, max_ratio: float = 0.8) -> SuMatrix:
 def su_from_json(data: dict) -> SuMatrix:
     """Parse ``{"a": [re, im], "b": [re, im]}``.
 
-    Entries given as strings (or integers) are read as exact rationals;
-    float entries produce a float-backend matrix.
+    Entries given as strings (or integers) are read as rationals: the
+    constraint must hold exactly, and the element then holds their nearest
+    floats.  Float entries must meet it within ``1e-12``.
     """
     try:
         a_re, a_im = data["a"]
@@ -149,8 +116,11 @@ def su_from_json(data: dict) -> SuMatrix:
         raise ConstraintViolation(f"malformed SuMatrix JSON: {data!r}") from exc
     parts = [a_re, a_im, b_re, b_im]
     if all(isinstance(p, (str, int)) for p in parts):
-        vals = [parse_fraction(p) for p in parts]
-        return su_from_params(QComplex(vals[0], vals[1]), QComplex(vals[2], vals[3]))
+        a_re, a_im, b_re, b_im = [parse_fraction(p) for p in parts]
+        norm = (a_re * a_re + a_im * a_im) - (b_re * b_re + b_im * b_im)
+        if norm != 1:
+            raise ConstraintViolation(f"|a|^2 - |b|^2 = {norm} != 1 (exact entries)")
+        return SuMatrix(complex(float(a_re), float(a_im)), complex(float(b_re), float(b_im)))
     return su_from_params(complex(float(a_re), float(a_im)), complex(float(b_re), float(b_im)))
 
 
@@ -338,7 +308,7 @@ def random_word(rng: np.random.Generator, rank: int, length: int) -> FreeWord:
 
 def _default_key(elem) -> str:
     if isinstance(elem, SuMatrix):
-        a, b = _to_complex(elem.a), _to_complex(elem.b)
+        a, b = elem.a, elem.b
         return f"su:{a.real!r}:{a.imag!r}:{b.real!r}:{b.imag!r}"
     if isinstance(elem, FreeWord):
         return f"fw:{elem.letters}"

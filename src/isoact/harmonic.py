@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import (
@@ -137,9 +138,11 @@ def vertex_inner(f1: Sequence, f2: Sequence):
 
 
 def cylinder_vertices(ball: TreeBall, k: int) -> List[Address]:
+    """The depth-``k`` vertices in the ball's order, without walking the ball."""
     if not 1 <= k <= ball.radius:
         raise ConstraintViolation(f"cylinder depth {k} outside 1..{ball.radius}")
-    return [v for v in ball.vertices() if len(v) == k]
+    below = list(product(range(ball.n), repeat=k - 1))
+    return [(first,) + rest for first in range(ball.n + 1) for rest in below]
 
 
 def _check_cylinder_function(ball: TreeBall, k: int, values: Dict[Address, Fraction]) -> None:
@@ -263,28 +266,34 @@ def gram_neg_log(ball: TreeBall, k: int) -> List[List[Fraction]]:
     Entries are exact rationals in units of ``log n``: the kernel is the
     divergence depth times ``log n``, and splitting by depth gives one
     finite sum per resolved level plus a geometric tail below depth ``k``
-    summing to ``mu_k^2 / (n - 1)`` per cylinder.
+    summing to ``mu_k^2 / (n - 1)`` per cylinder.  The level-``j`` sum
+    pairs the masses two functions put on each depth-``j`` cylinder, so
+    each basis function's masses are summed once per level, over its
+    support only.
     """
     n = ball.n
     cyls = cylinder_vertices(ball, k)
-    basis = cylinder_basis(ball, k)
     mu_k = cylinder_measure(ball, cyls[0])
-
-    def entry(f, g) -> Fraction:
-        acc = Fraction(0)
+    supports = [{c: w for c, w in f.items() if w != 0} for f in cylinder_basis(ball, k)]
+    masses = []
+    for support in supports:
+        levels = []
         for j in range(1, k + 1):
-            for u in cylinder_vertices(ball, j):
-                fu = sum(
-                    (f[c] * mu_k for c in cyls if common_prefix_length(c, u) == j), Fraction(0)
-                )
-                gu = sum(
-                    (g[c] * mu_k for c in cyls if common_prefix_length(c, u) == j), Fraction(0)
-                )
-                acc += fu * gu
-        tail = sum((f[c] * g[c] for c in cyls), Fraction(0))
+            level: Dict[Address, Fraction] = {}
+            for c, w in support.items():
+                level[c[:j]] = level.get(c[:j], Fraction(0)) + w * mu_k
+            levels.append(level)
+        masses.append(levels)
+
+    def entry(i: int, m: int) -> Fraction:
+        acc = Fraction(0)
+        for f_level, g_level in zip(masses[i], masses[m]):
+            acc += sum((w * g_level[u] for u, w in f_level.items() if u in g_level), Fraction(0))
+        g = supports[m]
+        tail = sum((w * g[c] for c, w in supports[i].items() if c in g), Fraction(0))
         return acc + Fraction(1, n - 1) * mu_k * mu_k * tail
 
-    return [[entry(f, g) for g in basis] for f in basis]
+    return [[entry(i, m) for m in range(len(supports))] for i in range(len(supports))]
 
 
 # ---------------------------------------------------------------------------

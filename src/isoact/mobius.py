@@ -36,7 +36,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .errors import ConstraintViolation, IllConditionedPhi
-from .groups import SuMatrix, _to_complex
+from .groups import SuMatrix
 
 # ---------------------------------------------------------------------------
 # Closed forms
@@ -45,25 +45,21 @@ from .groups import SuMatrix, _to_complex
 
 def phi(g: SuMatrix) -> float:
     """Squared cocycle norm ``|gamma(g)|^2 = 2 log |a|``."""
-    a = _to_complex(g.a)
+    a = g.a
     return math.log(a.real * a.real + a.imag * a.imag)
 
 
-def gram_ratio(g1: SuMatrix, g2: SuMatrix):
-    """``u = conj(b1) b2 / (conj(a1) a2)``; exact when both inputs are.
+def gram_ratio(g1: SuMatrix, g2: SuMatrix) -> complex:
+    """``u = conj(b1) b2 / (conj(a1) a2)``.
 
     Always ``|u| < 1``, so ``1 - u`` stays in the principal branch domain.
     """
-    if g1.exact and g2.exact:
-        return g1.b.conj() * g2.b / (g1.a.conj() * g2.a)
-    a1, b1 = complex(g1.a), complex(g1.b)
-    a2, b2 = complex(g2.a), complex(g2.b)
-    return b1.conjugate() * b2 / (a1.conjugate() * a2)
+    return g1.b.conjugate() * g2.b / (g1.a.conjugate() * g2.a)
 
 
 def gamma_gram(g1: SuMatrix, g2: SuMatrix) -> complex:
     """Closed form ``<gamma(g1), gamma(g2)> = -Log(1 - u)``."""
-    return -cmath.log(1 - _to_complex(gram_ratio(g1, g2)))
+    return -cmath.log(1 - gram_ratio(g1, g2))
 
 
 def asymptotic_error(g: SuMatrix) -> float:
@@ -72,8 +68,8 @@ def asymptotic_error(g: SuMatrix) -> float:
     The squared norm tracks twice the displacement up to the additive
     constant ``-2 log 2``; the error equals ``2 log(2|a| / (|a| + |b|))``.
     """
-    a = abs(_to_complex(g.a))
-    b = abs(_to_complex(g.b))
+    a = abs(g.a)
+    b = abs(g.b)
     return 2.0 * math.log(2.0 * a / (a + b))
 
 
@@ -96,8 +92,7 @@ def gamma_vector(g: SuMatrix, degree: int) -> np.ndarray:
     The geometric expansion gives ``c_k = (conj(b)/conj(a))dot
     (-conj(b)/conj(a))^k``.
     """
-    a = _to_complex(g.a)
-    b = _to_complex(g.b)
+    a, b = g.a, g.b
     base = b.conjugate() / a.conjugate()
     out = np.empty(degree + 1, dtype=complex)
     val = base
@@ -114,8 +109,7 @@ def pi_matrix(g: SuMatrix, degree: int) -> np.ndarray:
     multiplies by the point-map series, so every retained row is free of
     truncation error; only columns beyond ``degree`` are missing.
     """
-    a = _to_complex(g.a)
-    b = _to_complex(g.b)
+    a, b = g.a, g.b
     ac, bc = a.conjugate(), b.conjugate()
     n = degree + 1
     ratio = -bc / ac

@@ -89,9 +89,6 @@ class EdgeVector:
     def norm2(self) -> Fraction:
         return sum((v * v for _, v in self.coeffs), Fraction(0))
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def translate(self, g: FreeWord) -> "EdgeVector":
         """Push the flow forward through left translation by ``g``.
 

@@ -1,7 +1,9 @@
 """Inputs that only the tests build.
 
-Named rotations, boosts and exact rational elements give the tests
+Named rotations, boosts and rational elements give the tests
 hand-checkable inputs, where the package samples its elements at random;
+the rational ones also come as exact Gaussian-rational pairs, with the
+little arithmetic the tests' closed forms need;
 point masses and random weights build measures; the orthonormal frame
 makes the truncated disc operators unitary on their low columns.  The disc
 map of an SU(1,1) element and the graph of a Cayley window are read off
@@ -14,15 +16,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from isoact.exact import QComplex, format_fraction
-from isoact.groups import FiniteMeasure, SpMatrix, SuMatrix, su_from_params
+from isoact.groups import FiniteMeasure, SpMatrix, SuMatrix, su_from_json
 from isoact.harmonic import OrientedGraph
 from isoact.immobile import CayleyWindow
 
 
-def su_identity(exact: bool = False) -> SuMatrix:
-    if exact:
-        return SuMatrix(QComplex(1, 0), QComplex(0, 0))
+def su_identity() -> SuMatrix:
     return SuMatrix(complex(1.0), complex(0.0))
 
 
@@ -31,27 +30,63 @@ def su_rotation(theta: float) -> SuMatrix:
     return SuMatrix(cmath.exp(1j * theta), complex(0.0))
 
 
-def su_rational_boost(t: Fraction) -> SuMatrix:
-    """Exact boost-like element ``a = (1+t^2)/(1-t^2)``, ``b = 2t/(1-t^2)``, for ``|t| < 1``."""
+# A Gaussian rational is a pair (re, im) of Fractions; an exact SU(1,1)
+# element is the pair (a, b) of its entries.
+
+
+def gauss_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def gauss_conj(x):
+    return (x[0], -x[1])
+
+
+def gauss_div(x, y):
+    d = y[0] * y[0] + y[1] * y[1]
+    re, im = gauss_mul(x, gauss_conj(y))
+    return (re / d, im / d)
+
+
+def gauss_complex(x) -> complex:
+    return complex(float(x[0]), float(x[1]))
+
+
+def rational_boost(t: Fraction):
+    """Entries ``a = (1+t^2)/(1-t^2)``, ``b = 2t/(1-t^2)`` of a boost-like element, for ``|t| < 1``."""
     t = Fraction(t)
     d = 1 - t * t
-    return su_from_params(QComplex((1 + t * t) / d, 0), QComplex(2 * t / d, 0))
+    return ((1 + t * t) / d, Fraction(0)), (2 * t / d, Fraction(0))
 
 
-def su_rational_rotation(t: Fraction) -> SuMatrix:
-    """Exact elliptic element with ``a = ((1-t^2) + 2ti)/(1+t^2)``, ``b = 0``."""
+def rational_rotation(t: Fraction):
+    """Entries ``a = ((1-t^2) + 2ti)/(1+t^2)``, ``b = 0`` of an elliptic element."""
     t = Fraction(t)
     d = 1 + t * t
-    return su_from_params(QComplex((1 - t * t) / d, 2 * t / d), QComplex(0, 0))
+    return ((1 - t * t) / d, 2 * t / d), (Fraction(0), Fraction(0))
+
+
+def rational_product(g, h):
+    """Exact entries of the product: ``a = a1 a2 + b1 conj(b2)``, ``b = a1 b2 + b1 conj(a2)``."""
+    (a1, b1), (a2, b2) = g, h
+    a = tuple(x + y for x, y in zip(gauss_mul(a1, a2), gauss_mul(b1, gauss_conj(b2))))
+    b = tuple(x + y for x, y in zip(gauss_mul(a1, b2), gauss_mul(b1, gauss_conj(a2))))
+    return a, b
+
+
+def rational_json(g) -> dict:
+    """The ``"p/q"`` spelling of exact entries that ``su_from_json`` reads."""
+    (a_re, a_im), (b_re, b_im) = g
+    return {"a": [str(a_re), str(a_im)], "b": [str(b_re), str(b_im)]}
+
+
+def su_rational(g) -> SuMatrix:
+    """The element of exact entries, read as the package reads rational input."""
+    return su_from_json(rational_json(g))
 
 
 def su_to_json(g: SuMatrix) -> dict:
-    """The ``{"a": [re, im], "b": [re, im]}`` form that ``su_from_json`` reads."""
-    if g.exact:
-        return {
-            "a": [format_fraction(g.a.re), format_fraction(g.a.im)],
-            "b": [format_fraction(g.b.re), format_fraction(g.b.im)],
-        }
+    """The ``{"a": [re, im], "b": [re, im]}`` float form that ``su_from_json`` reads."""
     return {"a": [g.a.real, g.a.imag], "b": [g.b.real, g.b.imag]}
 
 
@@ -86,14 +121,9 @@ def orthonormal_frame(mat: np.ndarray) -> np.ndarray:
     return mat * (scale[None, :] / scale[:, None])
 
 
-def su_entries(g: SuMatrix):
-    """``(a, b)`` of ``g`` as Python complex numbers, from either backend."""
-    return tuple(z.to_complex() if isinstance(z, QComplex) else complex(z) for z in (g.a, g.b))
-
-
 def disc_map(g: SuMatrix, z: complex) -> complex:
     """Disc automorphism ``z -> (a z + b) / (conj(b) z + conj(a))`` of ``g``."""
-    a, b = su_entries(g)
+    a, b = g.a, g.b
     return (a * z + b) / (b.conjugate() * z + a.conjugate())
 
 

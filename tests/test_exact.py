@@ -1,66 +1,10 @@
-"""Exact Gaussian-rational arithmetic."""
+"""Reading and writing exact rationals."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from isoact.exact import QC_I, QC_ONE, QC_ZERO, QComplex, format_fraction, parse_fraction
-
-rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
-
-
-def qc(re, im=0):
-    return QComplex(Fraction(re), Fraction(im))
-
-
-class TestFieldOps:
-    def test_add_mul_basic(self):
-        assert qc(1, 2) + qc(3, -1) == qc(4, 1)
-        assert qc(0, 1) * qc(0, 1) == qc(-1, 0)
-        assert qc(2, 3) * qc(2, -3) == qc(13, 0)
-
-    def test_division_round_trip(self):
-        z = qc(Fraction(3, 7), Fraction(-2, 5))
-        w = qc(Fraction(1, 3), Fraction(4, 9))
-        assert (z / w) * w == z
-
-    def test_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            qc(1, 1) / QC_ZERO
-
-    def test_conjugate_and_abs2(self):
-        z = qc(Fraction(3, 4), Fraction(-1, 2))
-        assert z.conj() == qc(Fraction(3, 4), Fraction(1, 2))
-        assert z.abs2() == Fraction(9, 16) + Fraction(1, 4)
-        assert (z * z.conj()) == QComplex(z.abs2(), Fraction(0))
-
-    def test_mixed_scalar_ops(self):
-        assert qc(1, 1) * 2 == qc(2, 2)
-        assert 1 + qc(0, 1) == qc(1, 1)
-        assert qc(3, 0) / 3 == QC_ONE
-
-    def test_float_rejected(self):
-        with pytest.raises(TypeError):
-            QComplex(0.5, 0)
-
-    @given(rationals, rationals, rationals, rationals)
-    def test_abs2_multiplicative(self, a, b, c, d):
-        z, w = qc(a, b), qc(c, d)
-        assert (z * w).abs2() == z.abs2() * w.abs2()
-
-    @given(rationals, rationals, rationals, rationals, rationals, rationals)
-    def test_mul_distributes(self, a, b, c, d, e, f):
-        z, w, u = qc(a, b), qc(c, d), qc(e, f)
-        assert z * (w + u) == z * w + z * u
-
-    def test_to_complex(self):
-        assert qc(Fraction(1, 2), Fraction(-1, 4)).to_complex() == complex(0.5, -0.25)
-
-    def test_constants(self):
-        assert QC_I * QC_I == -QC_ONE
-        assert QC_ZERO.is_zero()
+from isoact.exact import format_fraction, parse_fraction
 
 
 class TestFractionCodec:

@@ -1,6 +1,7 @@
 """Group element types: SU(1,1), Sp(2n), free words, p-adics, measures."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isoact.errors import BadGeneratorIndex, ConstraintViolation, GroupMismatch
-from isoact.exact import QComplex
 from isoact.groups import (
     FiniteMeasure,
     FreeWord,
@@ -30,14 +30,19 @@ from isoact.treeball import padic_valuation, require_prime
 from builders import (
     delta_measure,
     disc_map,
+    gauss_complex,
+    gauss_conj,
+    gauss_mul,
     random_rational_weights,
+    rational_boost,
+    rational_json,
+    rational_product,
+    rational_rotation,
     sp_boost,
     sp_rotation,
     su_identity,
-    su_rational_boost,
-    su_rational_rotation,
+    su_rational,
     su_rotation,
-    su_entries,
     su_to_json,
 )
 
@@ -46,8 +51,16 @@ class TestSuMatrix:
     def test_constraint_enforced(self):
         with pytest.raises(ConstraintViolation):
             su_from_params(complex(1.0), complex(0.5))
-        with pytest.raises(ConstraintViolation):
-            su_from_params(QComplex(2, 0), QComplex(1, 0))
+        with pytest.raises(ConstraintViolation, match="exact entries"):
+            su_from_json({"a": ["2", "0"], "b": ["1", "0"]})
+
+    def test_rational_constraint_is_exact(self):
+        # |a|^2 - |b|^2 = 1 + 2e-30 + 1e-60: refused, though a rounds to 1.0
+        a = "1000000000000000000000000000001/1000000000000000000000000000000"
+        message = f"|a|^2 - |b|^2 = {Fraction(a) ** 2} != 1 (exact entries)"
+        with pytest.raises(ConstraintViolation, match=f"^{re.escape(message)}$"):
+            su_from_json({"a": [a, "0"], "b": ["0", "0"]})
+        assert su_from_params(complex(float(Fraction(a))), 0j).defect() == 0.0
 
     def test_boost_moves_origin(self):
         g = su_boost(0.7)
@@ -59,7 +72,7 @@ class TestSuMatrix:
         assert disc_map(g, 0.3) == pytest.approx(0.3 * np.exp(2.2j))
 
     def test_inverse_exact(self):
-        g = su_rational_boost(Fraction(1, 3)) * su_rational_rotation(Fraction(1, 2))
+        g = su_rational(rational_boost(Fraction(1, 3))) * su_rational(rational_rotation(Fraction(1, 2)))
         gi = g.inverse()
         assert (g * gi).is_identity()
         assert (gi * g).is_identity()
@@ -67,7 +80,8 @@ class TestSuMatrix:
     def test_inverse_float(self):
         rng = np.random.default_rng(5)
         g = su_random(rng)
-        a, b = su_entries(g * g.inverse())
+        unit = g * g.inverse()
+        a, b = unit.a, unit.b
         prod = np.array([[a, b], [b.conjugate(), a.conjugate()]])
         assert np.allclose(prod, np.eye(2), atol=1e-12)
 
@@ -77,12 +91,11 @@ class TestSuMatrix:
         assert abs((g * h).defect()) < 1e-10
 
     def test_exact_product_constraint(self):
-        g = su_rational_boost(Fraction(2, 5)) * su_rational_boost(Fraction(-1, 7))
-        assert g.a.abs2() - g.b.abs2() == 1
-
-    def test_mixed_backend_product_rejected(self):
-        with pytest.raises(GroupMismatch):
-            su_boost(0.3) * su_rational_boost(Fraction(1, 2))
+        exact = rational_product(rational_boost(Fraction(2, 5)), rational_boost(Fraction(-1, 7)))
+        a, b = exact
+        assert gauss_mul(a, gauss_conj(a))[0] - gauss_mul(b, gauss_conj(b))[0] == 1
+        g = su_rational(rational_boost(Fraction(2, 5))) * su_rational(rational_boost(Fraction(-1, 7)))
+        assert abs(g.a - gauss_complex(a)) < 1e-15 and abs(g.b - gauss_complex(b)) < 1e-15
 
     def test_mobius_composition_is_left_action(self):
         # Fractional linear maps compose covariantly with the matrix
@@ -105,9 +118,14 @@ class TestSuMatrix:
         assert h.a == g.a and h.b == g.b
 
     def test_json_round_trip_exact(self):
-        g = su_rational_boost(Fraction(3, 8))
-        h = su_from_json(su_to_json(g))
-        assert h.exact and h.a == g.a and h.b == g.b
+        # the rational and the float spelling of one element read the same
+        exact = rational_product(rational_rotation(Fraction(1, 2)), rational_boost(Fraction(3, 8)))
+        for entries in (rational_boost(Fraction(3, 8)), rational_rotation(Fraction(-2, 7)), exact):
+            g = su_from_json(rational_json(entries))
+            (a_re, a_im), (b_re, b_im) = entries
+            floats = {"a": [float(a_re), float(a_im)], "b": [float(b_re), float(b_im)]}
+            assert su_from_json(floats) == g
+            assert su_from_json(su_to_json(g)) == g
 
     def test_json_malformed(self):
         with pytest.raises(ConstraintViolation):
@@ -115,7 +133,7 @@ class TestSuMatrix:
 
     def test_identity(self):
         assert su_identity().is_identity()
-        assert su_identity(exact=True).is_identity()
+        assert su_rational(rational_rotation(Fraction(0))).is_identity()
         assert not su_boost(0.1).is_identity()
 
 

@@ -251,7 +251,38 @@ def refinement_oracle_inv(ball, k, f, g):
     return -total
 
 
+def gram_neg_log_walk(ball, k):
+    """The gram entry by entry: every level's cylinders from a walk over the
+    whole ball, and each cylinder's mass summed over all depth-k cylinders."""
+    n = ball.n
+    cyls = [v for v in ball.vertices() if len(v) == k]
+    basis = cylinder_basis(ball, k)
+    mu_k = cylinder_measure(ball, cyls[0])
+
+    def entry(f, g):
+        acc = Fraction(0)
+        for j in range(1, k + 1):
+            for u in (v for v in ball.vertices() if len(v) == j):
+                fu = sum((f[c] * mu_k for c in cyls if common_prefix_length(c, u) == j), Fraction(0))
+                gu = sum((g[c] * mu_k for c in cyls if common_prefix_length(c, u) == j), Fraction(0))
+                acc += fu * gu
+        tail = sum((f[c] * g[c] for c in cyls), Fraction(0))
+        return acc + Fraction(1, n - 1) * mu_k * mu_k * tail
+
+    return [[entry(f, g) for g in basis] for f in basis]
+
+
 class TestKernelGrams:
+    @pytest.mark.parametrize("n, radius, k", [(2, 4, 2), (2, 5, 3), (3, 3, 2), (2, 6, 4)])
+    def test_neg_log_matches_entrywise_walk(self, n, radius, k):
+        ball = TreeBall(n, radius)
+        assert gram_neg_log(ball, k) == gram_neg_log_walk(ball, k)
+
+    @pytest.mark.parametrize("n, radius, k", [(2, 4, 1), (2, 4, 4), (3, 3, 2), (5, 2, 2)])
+    def test_cylinders_in_ball_order(self, n, radius, k):
+        ball = TreeBall(n, radius)
+        assert cylinder_vertices(ball, k) == [v for v in ball.vertices() if len(v) == k]
+
     def test_neg_log_matches_refinement_oracle(self):
         ball = TreeBall(2, 5)
         k = 2

@@ -11,16 +11,20 @@ import pytest
 
 from isoact import mobius as mo
 from isoact.errors import IllConditionedPhi
-from isoact.exact import QC_ONE
 from isoact.groups import SuMatrix, su_boost, su_from_params, su_random
 
 from builders import (
     disc_map,
+    gauss_complex,
+    gauss_conj,
+    gauss_div,
+    gauss_mul,
     orthonormal_frame,
-    su_entries,
+    rational_boost,
+    rational_product,
+    rational_rotation,
     su_identity,
-    su_rational_boost,
-    su_rational_rotation,
+    su_rational,
     su_rotation,
 )
 
@@ -46,7 +50,7 @@ def poincare_distance(z1: complex, z2: complex) -> float:
 
 def displacement(g: SuMatrix) -> float:
     """``d(0, g 0) = log(|a| + |b|)``."""
-    a, b = su_entries(g)
+    a, b = (g.a, g.b)
     return math.log(abs(a) + abs(b))
 
 
@@ -96,13 +100,13 @@ def test_mobius_action_is_isometric():
 
 
 def gamma_eval(g: SuMatrix, z: complex) -> complex:
-    a, b = su_entries(g)
+    a, b = (g.a, g.b)
     return b.conjugate() / (b.conjugate() * z + a.conjugate())
 
 
 def pi_eval(g: SuMatrix, f, z: complex) -> complex:
     """Pointwise weight-two action on a callable function."""
-    a, b = su_entries(g)
+    a, b = (g.a, g.b)
     denom = b.conjugate() * z + a.conjugate()
     return f((a * z + b) / denom) / (denom * denom)
 
@@ -238,15 +242,29 @@ def test_norm_closed_form_matches_series():
         assert abs(gram.real - mo.phi(g)) < 1e-12
 
 
+RATIONAL_ELEMENTS = [
+    rational_boost(Fr(1, 3)),
+    rational_product(rational_rotation(Fr(1, 2)), rational_boost(Fr(2, 5))),
+    rational_product(rational_boost(Fr(-3, 7)), rational_rotation(Fr(2, 9))),
+    rational_product(rational_rotation(Fr(-1, 4)), rational_boost(Fr(1, 7))),
+    rational_rotation(Fr(5, 6)),
+]
+
+
 def test_gram_ratio_exact_backend():
-    g1 = su_rational_boost(Fr(1, 3))
-    g2 = su_rational_rotation(Fr(1, 2)) * su_rational_boost(Fr(2, 5))
-    u = mo.gram_ratio(g1, g2)
-    # 1 - u equals conj(a)(g1 g2^{-1}) / (conj(a)(g1) conj(a)(g2^{-1}))
-    w = g1 * g2.inverse()
-    lhs = QC_ONE - u
-    rhs = w.a.conj() / (g1.a.conj() * g2.inverse().a.conj())
-    assert lhs == rhs
+    # u = conj(b1) b2 / (conj(a1) a2) in Gaussian rationals; the float gram
+    # of the rounded elements stays within rounding of its exact value
+    for e1 in RATIONAL_ELEMENTS:
+        for e2 in RATIONAL_ELEMENTS:
+            (a1, b1), (a2, b2) = e1, e2
+            u = gauss_div(gauss_mul(gauss_conj(b1), b2), gauss_mul(gauss_conj(a1), a2))
+            # 1 - u equals conj(a)(g1 g2^{-1}) / (conj(a)(g1) conj(a)(g2^{-1}))
+            a2_inverse = gauss_conj(a2)
+            w = rational_product(e1, (a2_inverse, (-b2[0], -b2[1])))
+            rhs = gauss_div(gauss_conj(w[0]), gauss_mul(gauss_conj(a1), gauss_conj(a2_inverse)))
+            assert (1 - u[0], -u[1]) == rhs
+            expected = -cmath.log(1 - gauss_complex(u))
+            assert abs(mo.gamma_gram(su_rational(e1), su_rational(e2)) - expected) < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +329,7 @@ def axis_distance_from_origin(u: SuMatrix) -> float:
     normalisation ``d(0, tanh t) = t`` the distance satisfies
     ``sinh(2 d) = 2 |Im(conj(p) q)|`` for ``u = (p, q)``.
     """
-    p, q = su_entries(u)
+    p, q = (u.a, u.b)
     return 0.5 * math.asinh(2.0 * abs((p.conjugate() * q).imag))
 
 

@@ -552,7 +552,7 @@ class TestModuleCommands:
             ("immobile", "func", "--schedule", "4,30"),
             ("harmonic", "poisson", "--radius", "25"),
             ("harmonic", "poisson", "--n", "2", "--radius", "10"),
-            ("harmonic", "gram", "--n", "2", "--radius", "6", "--k", "6"),
+            ("harmonic", "gram", "--n", "2", "--radius", "8", "--k", "8"),
         ],
     )
     def test_oversized_ball_refused_before_work(self, args):
