@@ -11,7 +11,9 @@ Exact arithmetic (``fractions.Fraction``) is used wherever an identity
 holds on the nose; floating point appears only where a construction is
 genuinely analytic, always with an explicit tolerance.  Disc isometries
 are one such place: their entries are complex floats, and rational input
-is checked exactly before it is rounded to them.
+is checked exactly before it is rounded to them.  Symplectic matrices are
+another: they are plain float arrays, and one batched kernel computes
+their phase cocycle.
 
 Importing the package sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``
 and ``MKL_NUM_THREADS`` to ``1`` where they are unset.  The linear
@@ -28,7 +30,6 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 del _name
 
 from .errors import (
-    BranchGuard,
     ConfigError,
     ConstraintViolation,
     IllConditionedPhi,
@@ -36,7 +37,7 @@ from .errors import (
     IsoactError,
     VertexNotFound,
 )
-from .groups import FiniteMeasure, FreeWord, SpMatrix, SuMatrix
+from .groups import FiniteMeasure, FreeWord, SuMatrix
 from .report import Report, SuiteConfig
 from .suites import resolve_config, run_suite, suite_names
 from .treeball import TreeBall
@@ -44,7 +45,6 @@ from .treeball import TreeBall
 __version__ = "0.1.0"
 
 __all__ = [
-    "BranchGuard",
     "ConfigError",
     "ConstraintViolation",
     "FiniteMeasure",
@@ -53,7 +53,6 @@ __all__ = [
     "IoError",
     "IsoactError",
     "Report",
-    "SpMatrix",
     "SuMatrix",
     "SuiteConfig",
     "TreeBall",

@@ -67,10 +67,10 @@ MAX_PRIME = 10**6
 # the seed range of SuiteConfig
 SEED = click.IntRange(0, 2**64 - 1)
 # Work counts of the harmonic probes, worked out below from n, radius and k.
-# A unit takes about 11 us in poisson and 1.2 us in gram on a 2-vCPU VM, so
+# A unit takes about 11 us in poisson and 4.5 us in gram on a 2-vCPU VM, so
 # the largest accepted probe runs for about 3 s.
 MAX_POISSON_WORK = 3 * 10**5
-MAX_GRAM_WORK = 25 * 10**5
+MAX_GRAM_WORK = 7 * 10**5
 
 
 def guarded(fn):
@@ -388,10 +388,11 @@ def harmonic_gram(n, radius, k, kernel):
     ball = TreeBall(n, radius)
     if not 1 <= k <= radius:
         raise ConfigError(f"--k must lie in 1..{radius}, the radius, got {k}")
-    # gram_inv_delta, the costlier kernel, scans every cylinder for each of
-    # its (cylinders - 1)^2 entries; gram_neg_log pairs k sparse levels
+    # gram_neg_log, the costlier kernel, pairs k sparse levels for each of its
+    # (cylinders - 1)^2 entries; converting and printing an entry costs about
+    # four levels more.  gram_inv_delta reads four pair energies per entry.
     cylinders = (n + 1) * n ** (k - 1)
-    work = (cylinders - 1) ** 2 * cylinders
+    work = (cylinders - 1) ** 2 * (k + 4)
     require_work("gram", work, MAX_GRAM_WORK, n, radius, k)
     matrix = gram_inv_delta(ball, k) if kernel == "inv_delta" else gram_neg_log(ball, k)
     m = len(matrix)

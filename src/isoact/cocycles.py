@@ -14,7 +14,9 @@ make explicit rather than silent.
   phase factor ``Phi(g) = ((A + D) + i (C - B)) / 2``; its absolute
   determinant is at least one, so ``Phi`` is always invertible for a
   genuine symplectic matrix and a singular value collapse means the
-  input was not one.
+  input was not one.  Elements are plain arrays, and one batched kernel,
+  :func:`tau_terms`, computes every value: a failed guard is a False
+  entry in the mask it returns, not an exception.
 * For measures on the disc group the scalar integrates the argument of
   the multiplier ratio ``a(gh) / (a(g) a(h))``, which telescopes
   exactly over triple products because the ratio depends only on
@@ -34,13 +36,8 @@ from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (
-    BranchGuard,
-    ConstraintViolation,
-    GroupMismatch,
-    IllConditionedPhi,
-)
-from .groups import FiniteMeasure, FreeWord, SpMatrix, SuMatrix
+from .errors import ConstraintViolation, GroupMismatch
+from .groups import FiniteMeasure, FreeWord, SuMatrix
 
 # ---------------------------------------------------------------------------
 # Symplectic phase cocycle
@@ -50,93 +47,45 @@ PHI_SINGULAR_TOL = 1e-6
 TAU_BRANCH_MARGIN = 1e-9
 
 
-def phase_factor(g: SpMatrix) -> np.ndarray:
-    """``Phi(g) = ((A + D) + i (C - B)) / 2`` in n x n blocks.
+def _phase(e: np.ndarray, n: int) -> np.ndarray:
+    """``Phi(g) = ((A + D) + i (C - B)) / 2`` in n x n blocks, for one
+    matrix or a stack of them in the last two axes.
 
     Sends the planar rotation by ``theta`` to ``exp(-i theta)`` and the
     boost ``diag(e^t, e^{-t})`` to ``cosh t``.
     """
-    return _phase(g.entries, g.n)
-
-
-def _phase(e: np.ndarray, n: int) -> np.ndarray:
-    """:func:`phase_factor` on raw entries, or on a stack of them."""
     a, b = e[..., :n, :n], e[..., :n, n:]
     c, d = e[..., n:, :n], e[..., n:, n:]
     return 0.5 * ((a + d) + 1j * (c - b))
 
 
-def _checked_phase(g: SpMatrix) -> np.ndarray:
-    p = phase_factor(g)
-    smallest = float(np.linalg.svd(p, compute_uv=False)[-1])
-    if smallest < PHI_SINGULAR_TOL:
-        raise IllConditionedPhi(
-            f"phase factor has singular value {smallest:.3e}; "
-            "the input cannot be symplectic"
-        )
-    return p
-
-
-def tau(g1: SpMatrix, g2: SpMatrix) -> float:
-    """Phase defect ``Im tr Log(Phi(g1)^-1 Phi(g1 g2) Phi(g2)^-1)``.
-
-    Identity arguments return exactly ``0.0``: the phase factor of the
-    identity is the identity matrix, so the defect matrix is too, and
-    short-circuiting avoids spending float error on a known value.
-
-    Raises :class:`BranchGuard` when the defect matrix strays far enough
-    from the identity that an eigenvalue could reach the branch cut.
-    """
-    if g1.n != g2.n:
-        raise GroupMismatch("size mismatch between symplectic matrices")
-    if g1.is_identity() or g2.is_identity():
-        return 0.0
-    p1 = _checked_phase(g1)
-    p2 = _checked_phase(g2)
-    p12 = _checked_phase(g1 * g2)
-    defect = np.linalg.solve(p1, p12) @ np.linalg.inv(p2)
-    distance = float(np.linalg.norm(defect - np.eye(g1.n), 2))
-    if distance >= 1.0 - TAU_BRANCH_MARGIN:
-        raise BranchGuard(
-            f"defect matrix sits {distance:.6f} from the identity; "
-            "principal logarithms are not trustworthy"
-        )
-    eigenvalues = np.linalg.eigvals(defect)
-    return float(np.sum(np.angle(eigenvalues)))
-
-
-def tau_cocycle_residuals(
-    g1: np.ndarray, g2: np.ndarray, g3: np.ndarray
+def tau_terms(
+    mats: np.ndarray, terms: Sequence[Tuple[int, int, int]]
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Two-cocycle defects of :func:`tau`, reduced modulo ``2 pi``, for
-    stacks of triples.
+    """The phase defect ``tau(g1, g2) = Im tr Log(Phi(g1)^-1 Phi(g1 g2)
+    Phi(g2)^-1)`` for each ``(left, right, product)`` index triple, on
+    stacks of trials.
 
-    ``g1``, ``g2`` and ``g3`` hold the entries of ``T`` symplectic
-    matrices each, with shape ``(T, 2n, 2n)``.  Returns ``(residuals,
-    ok)``.  ``ok[k]`` is False where :func:`tau` would raise
-    :class:`IllConditionedPhi` or :class:`BranchGuard` on a term of
-    triple ``k``; its residual is then NaN.  Every other residual equals
-    the defect from the scalar :func:`tau` bit for bit: each step is
-    the scalar one, with numpy and LAPACK applied slice by slice, and a
-    pair with an exact identity contributes exactly ``0.0``.
+    ``mats`` has shape ``(M, T, 2n, 2n)``: ``M`` symplectic matrices for
+    each of ``T`` trials, where ``mats[product]`` is ``mats[left] @
+    mats[right]``.  Returns ``(values, ok)`` with ``values`` of shape
+    ``(len(terms), T)``.  A pair with an exact identity is worth exactly
+    ``0.0``: its defect matrix is the identity.  ``ok[t]`` is False, and
+    trial ``t``'s values are NaN, where a guard fails on one of its
+    terms: a phase factor with a singular value below
+    ``PHI_SINGULAR_TOL`` (its absolute determinant is at least one for a
+    genuine symplectic matrix), or a defect matrix within
+    ``TAU_BRANCH_MARGIN`` of distance one from the identity, where an
+    eigenvalue could reach the branch cut of the principal logarithm.
+    Later terms of a failed trial are not computed.
     """
-    if not (g1.shape == g2.shape == g3.shape) or g1.ndim != 3:
-        raise GroupMismatch("expected three stacks of the same shape (T, 2n, 2n)")
-    n = g1.shape[-1] // 2
-    g12 = g1 @ g2
-    g23 = g2 @ g3
-    # The seven matrices whose phase factors the four tau terms read, and
-    # the (left, right, product) indices of tau(g1, g2), tau(g1 g2, g3),
-    # tau(g2, g3) and tau(g1, g2 g3) among them.
-    mats = np.stack([g1, g2, g3, g12, g23, g12 @ g3, g1 @ g23])
-    terms = ((0, 1, 3), (3, 2, 5), (1, 2, 4), (0, 4, 6))
+    n = mats.shape[-1] // 2
     phases = _phase(mats, n)
     collapsed = np.linalg.svd(phases, compute_uv=False)[..., -1] < PHI_SINGULAR_TOL
     identity = np.all(mats == np.eye(2 * n), axis=(-2, -1))
-    ok = np.ones(len(g1), dtype=bool)
-    values = []
-    for left, right, prod in terms:
-        value = np.zeros(len(g1))
+    ok = np.ones(mats.shape[1], dtype=bool)
+    values = np.zeros((len(terms), mats.shape[1]))
+    for value, (left, right, prod) in zip(values, terms):
         live = ok & ~(identity[left] | identity[right])
         ok &= ~(live & (collapsed[left] | collapsed[right] | collapsed[prod]))
         live = np.flatnonzero(live & ok)
@@ -147,12 +96,34 @@ def tau_cocycle_residuals(
         ok[live[near_cut]] = False
         eigenvalues = np.linalg.eigvals(defect[~near_cut])
         value[live[~near_cut]] = np.sum(np.angle(eigenvalues), axis=-1)
-        values.append(value)
+    values[:, ~ok] = np.nan
+    return values, ok
+
+
+def tau_cocycle_residuals(
+    g1: np.ndarray, g2: np.ndarray, g3: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Two-cocycle defects of tau, reduced modulo ``2 pi``, for stacks of
+    triples.
+
+    ``g1``, ``g2`` and ``g3`` hold the entries of ``T`` symplectic
+    matrices each, with shape ``(T, 2n, 2n)``.  Returns ``(residuals,
+    ok)`` as :func:`tau_terms` returns its guards: where a guard fails on
+    a term of triple ``k``, ``ok[k]`` is False and its residual is NaN.
+    """
+    if not (g1.shape == g2.shape == g3.shape) or g1.ndim != 3:
+        raise GroupMismatch("expected three stacks of the same shape (T, 2n, 2n)")
+    g12 = g1 @ g2
+    g23 = g2 @ g3
+    # The seven matrices whose phase factors the four tau terms read, and
+    # the (left, right, product) indices of tau(g1, g2), tau(g1 g2, g3),
+    # tau(g2, g3) and tau(g1, g2 g3) among them.
+    mats = np.stack([g1, g2, g3, g12, g23, g12 @ g3, g1 @ g23])
+    values, ok = tau_terms(mats, ((0, 1, 3), (3, 2, 5), (1, 2, 4), (0, 4, 6)))
     lhs = values[0] + values[1]
     rhs = values[2] + values[3]
     wrapped = np.abs(lhs - rhs) % (2.0 * math.pi)
-    residuals = np.minimum(wrapped, 2.0 * math.pi - wrapped)
-    return np.where(ok, residuals, np.nan), ok
+    return np.minimum(wrapped, 2.0 * math.pi - wrapped), ok
 
 
 # ---------------------------------------------------------------------------

@@ -53,10 +53,6 @@ class InvalidCoordinate(IsoactError):
     """A strip-space point lies outside its declared segment."""
 
 
-class BranchGuard(IsoactError):
-    """A principal-branch logarithm guard failed; input rejected."""
-
-
 class PreconditionViolation(IsoactError):
     """A sampled-function precondition (symmetry, base value) fails."""
 

@@ -1,15 +1,15 @@
 """Group elements used across the package.
 
-Three families of elements appear in the affine-action constructions:
+Two families of elements have a class of their own:
 
 * :class:`SuMatrix` - pseudo-unitary 2x2 matrices ``(a b; conj(b) conj(a))``
   with ``|a|^2 - |b|^2 = 1``, acting on the unit disc.
-* :class:`SpMatrix` - real ``2n x 2n`` matrices preserving the standard
-  skew form.
 * :class:`FreeWord` - reduced words in a finitely generated free group.
 
 plus :class:`FiniteMeasure`, a finitely supported probability measure with
-exact rational weights over any of the above.
+exact rational weights over either.  Elements of ``Sp(2n, R)``, the real
+``2n x 2n`` matrices preserving the skew form :func:`sp_form`, are plain
+arrays, or stacks of them, sampled by :func:`sp_exp`.
 
 Entries of :class:`SuMatrix` are Python ``complex`` numbers.  Rational
 input (``"p/q"`` strings) is checked against ``|a|^2 - |b|^2 = 1`` exactly
@@ -68,9 +68,6 @@ class SuMatrix:
     def trace(self) -> float:
         return 2.0 * self.a.real
 
-    def is_identity(self) -> bool:
-        return self.a == 1 and self.b == 0
-
 
 def su_from_params(a: complex, b: complex) -> SuMatrix:
     """Build an :class:`SuMatrix`, enforcing ``|a|^2 - |b|^2 = 1`` within
@@ -105,9 +102,11 @@ def su_random(rng: np.random.Generator, max_ratio: float = 0.8) -> SuMatrix:
 def su_from_json(data: dict) -> SuMatrix:
     """Parse ``{"a": [re, im], "b": [re, im]}``.
 
-    Entries given as strings (or integers) are read as rationals: the
-    constraint must hold exactly, and the element then holds their nearest
-    floats.  Float entries must meet it within ``1e-12``.
+    An element with a float entry is a float element: every entry must be
+    a number, and the constraint must hold within ``1e-12``.  Any other
+    element is rational: every entry goes through :func:`parse_fraction`,
+    the constraint must hold exactly, and the element then holds the
+    nearest floats.  A float mixed with ``"p/q"`` strings is refused.
     """
     try:
         a_re, a_im = data["a"]
@@ -115,13 +114,15 @@ def su_from_json(data: dict) -> SuMatrix:
     except (KeyError, TypeError, ValueError) as exc:
         raise ConstraintViolation(f"malformed SuMatrix JSON: {data!r}") from exc
     parts = [a_re, a_im, b_re, b_im]
-    if all(isinstance(p, (str, int)) for p in parts):
-        a_re, a_im, b_re, b_im = [parse_fraction(p) for p in parts]
-        norm = (a_re * a_re + a_im * a_im) - (b_re * b_re + b_im * b_im)
-        if norm != 1:
-            raise ConstraintViolation(f"|a|^2 - |b|^2 = {norm} != 1 (exact entries)")
-        return SuMatrix(complex(float(a_re), float(a_im)), complex(float(b_re), float(b_im)))
-    return su_from_params(complex(float(a_re), float(a_im)), complex(float(b_re), float(b_im)))
+    if any(type(p) is float for p in parts):
+        if not all(type(p) in (int, float) for p in parts):
+            raise ConstraintViolation(f"SuMatrix entries mix floats with other values: {data!r}")
+        return su_from_params(complex(float(a_re), float(a_im)), complex(float(b_re), float(b_im)))
+    a_re, a_im, b_re, b_im = [parse_fraction(p) for p in parts]
+    norm = (a_re * a_re + a_im * a_im) - (b_re * b_re + b_im * b_im)
+    if norm != 1:
+        raise ConstraintViolation(f"|a|^2 - |b|^2 = {norm} != 1 (exact entries)")
+    return SuMatrix(complex(float(a_re), float(a_im)), complex(float(b_re), float(b_im)))
 
 
 # ---------------------------------------------------------------------------
@@ -135,48 +136,6 @@ def sp_form(n: int) -> np.ndarray:
     J[:n, n:] = np.eye(n)
     J[n:, :n] = -np.eye(n)
     return J
-
-
-@dataclass(frozen=True)
-class SpMatrix:
-    """A real ``2n x 2n`` matrix with ``g J g^T = J``."""
-
-    entries: np.ndarray
-    n: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", np.asarray(self.entries, dtype=float))
-        self.entries.setflags(write=False)
-
-    def defect(self) -> float:
-        J = sp_form(self.n)
-        return float(np.max(np.abs(self.entries @ J @ self.entries.T - J)))
-
-    def __mul__(self, other: "SpMatrix") -> "SpMatrix":
-        if self.n != other.n:
-            raise GroupMismatch("size mismatch between symplectic matrices")
-        return SpMatrix(self.entries @ other.entries, self.n)
-
-    def inverse(self) -> "SpMatrix":
-        """Structure-preserving inverse ``-J g^T J``."""
-        J = sp_form(self.n)
-        return SpMatrix(-J @ self.entries.T @ J, self.n)
-
-    def is_identity(self) -> bool:
-        return bool(np.array_equal(self.entries, np.eye(2 * self.n)))
-
-
-def sp_identity(n: int) -> SpMatrix:
-    return SpMatrix(np.eye(2 * n), n)
-
-
-def sp_random(rng: np.random.Generator, n: int, scale: float = 0.4) -> SpMatrix:
-    """Random element ``expm(J S)`` with S symmetric of size 2n.
-
-    ``scale`` controls how far from the identity the sample sits; moderate
-    values keep principal-branch guards comfortably satisfied downstream.
-    """
-    return SpMatrix(sp_exp(rng.normal(0.0, scale, size=(2 * n, 2 * n)), n), n)
 
 
 def sp_exp(raw: np.ndarray, n: int) -> np.ndarray:
@@ -246,9 +205,6 @@ class FreeWord:
         for _ in range(k):
             out = out * self
         return out
-
-    def is_identity(self) -> bool:
-        return not self.letters
 
     def cyclic_reduce(self) -> Tuple["FreeWord", "FreeWord"]:
         """Return ``(core, c)`` with ``self = c * core * c.inverse()``.

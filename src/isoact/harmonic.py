@@ -237,27 +237,19 @@ def gram_inv_delta(ball: TreeBall, k: int) -> List[List[Fraction]]:
     """Gram of ``-1/delta`` over the zero-mean cylinder basis.
 
     Truncated at the ball's resolution; see :func:`_pair_energy_inv`.
+    Basis function ``i`` is ``+1`` on cylinder ``i`` and ``-1`` on cylinder
+    ``i + 1`` (:func:`cylinder_basis`), so each entry reads four pair
+    energies.
     """
     cyls = cylinder_vertices(ball, k)
-    basis = cylinder_basis(ball, k)
-    energy = {
-        (a, b): _pair_energy_inv(ball, a, b, k) for a in cyls for b in cyls
-    }
-    out = []
-    for f in basis:
-        row = []
-        for g in basis:
-            acc = Fraction(0)
-            for a in cyls:
-                if f[a] == 0:
-                    continue
-                for b in cyls:
-                    if g[b] == 0:
-                        continue
-                    acc += f[a] * g[b] * energy[(a, b)]
-            row.append(-acc)
-        out.append(row)
-    return out
+    energy = [[_pair_energy_inv(ball, a, b, k) for b in cyls] for a in cyls]
+
+    def entry(i: int, m: int) -> Fraction:
+        return (
+            energy[i + 1][m] + energy[i][m + 1] - energy[i][m] - energy[i + 1][m + 1]
+        )
+
+    return [[entry(i, m) for m in range(len(cyls) - 1)] for i in range(len(cyls) - 1)]
 
 
 def gram_neg_log(ball: TreeBall, k: int) -> List[List[Fraction]]:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from .errors import ConstraintViolation, VertexNotFound
+from .errors import ConstraintViolation
 from .groups import FreeWord, free_reduce, word_from_json
 from .treeball import require_ball_size
 
@@ -58,18 +58,6 @@ class CayleyWindow:
 
     def contains(self, m: FreeWord) -> bool:
         return m.rank == self.rank and len(m.letters) <= self.radius
-
-    def require(self, m: FreeWord) -> None:
-        if not self.contains(m):
-            raise VertexNotFound(f"word {m.letters!r} outside radius {self.radius}")
-
-    def distance(self, u: FreeWord, v: FreeWord) -> int:
-        return len((v * u.inverse()).letters)
-
-    def parent(self, m: FreeWord) -> FreeWord:
-        if not m.letters:
-            raise VertexNotFound("the empty word has no parent")
-        return FreeWord(m.letters[1:], self.rank)
 
     def children(self, m: FreeWord) -> List[FreeWord]:
         """Words one letter longer, ordered by the prepended letter."""

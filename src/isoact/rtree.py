@@ -183,10 +183,6 @@ class MetricTree:
         small, big = (f1, f2) if len(f1) <= len(f2) else (f2, f1)
         return sum((self.lengths[e] * c * big.get(e, 0) for e, c in small.items()), Fraction(0))
 
-    def distance(self, x: int, y: int) -> Fraction:
-        flow = self.flow(x, y)
-        return self.pairing(flow, flow)
-
     def triangle_flow(self, x: int, y: int, z: int) -> Dict[int, int]:
         """Cyclic sum of the three geodesic flows; empty for any triple."""
         out: Dict[int, int] = {}

@@ -17,13 +17,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from . import cocycles as co
 from . import mobius as mo
-from .cocycles import (
-    sigma_convolution_residual,
-    sigma_pair_orthogonal,
-    tau,
-    tau_cocycle_residuals,
-)
 from .errors import ConfigError, ConstraintViolation
 from .fock import (
     MAX_DEGREE,
@@ -37,8 +32,6 @@ from .groups import (
     FreeWord,
     random_word,
     sp_exp,
-    sp_identity,
-    sp_random,
     su_boost,
     su_random,
 )
@@ -419,7 +412,7 @@ def _suite_sp_tau(rc: ResolvedConfig) -> List[CheckRow]:
         label = f"sp{2 * half_dim}"
         size = 2 * half_dim
         # Each attempt draws a trial's three matrices in one call, which
-        # leaves its generator where three sp_random calls would.  Up to
+        # leaves its generator where three single draws would.  Up to
         # SP_TAU_STACK trials are exponentiated and checked as one stack,
         # which bounds the memory at any trial count; the trials whose guards
         # fail draw again in the next round, up to ``attempts`` rounds.
@@ -431,7 +424,7 @@ def _suite_sp_tau(rc: ResolvedConfig) -> List[CheckRow]:
             for _ in range(attempts):
                 raw = np.array([rngs[k].normal(0.0, scale, size=(3, size, size)) for k in pending])
                 stack = sp_exp(raw, half_dim)
-                residuals, ok = tau_cocycle_residuals(stack[:, 0], stack[:, 1], stack[:, 2])
+                residuals, ok = co.tau_cocycle_residuals(stack[:, 0], stack[:, 1], stack[:, 2])
                 residual_of.update((k, float(r)) for k, r, good in zip(pending, residuals, ok) if good)
                 pending = [k for k, good in zip(pending, ok) if not good]
                 if not pending:
@@ -443,10 +436,12 @@ def _suite_sp_tau(rc: ResolvedConfig) -> List[CheckRow]:
                     rows.append(check_row(row_id, inputs, residual_of[k], residual_of[k], rc.tolerance))
                 else:
                     rows.append(unresolved_row(row_id, inputs, "branch guards exhausted"))
-        rng = _rng(rc, stream + 10, 0)
-        g = sp_random(rng, half_dim, scale)
-        e = sp_identity(half_dim)
-        defect = abs(tau(e, g)) + abs(tau(g, e)) + abs(tau(e, e))
+        # tau(e, g), tau(g, e) and tau(e, e) through the kernel of the
+        # cocycle rows, so that a fault in it reaches both kinds of row
+        g = sp_exp(_rng(rc, stream + 10, 0).normal(0.0, scale, size=(size, size)), half_dim)
+        pairs = np.stack([np.eye(size), g])[:, None]
+        values, _ = co.tau_terms(pairs, ((0, 1, 1), (1, 0, 1), (0, 0, 0)))
+        defect = float(np.abs(values).sum())
         rows.append(
             check_row(f"{label}-identity", {"dim": 2 * half_dim}, defect, defect, 0.0)
         )
@@ -486,14 +481,14 @@ def _suite_measure_cocycle(rc: ResolvedConfig) -> List[CheckRow]:
     def su_trial(k: int) -> CheckRow:
         rng = _rng(rc, 0, k)
         mu, nu, rho = (_random_su_measure(rng, max_ratio) for _ in range(3))
-        residual = sigma_convolution_residual(mu, nu, rho)
+        residual = co.sigma_convolution_residual(mu, nu, rho)
         inputs = {"seed": rc.seed, "trial": k, "atoms": [len(m.atoms) for m in (mu, nu, rho)]}
         return check_row(f"su-{k:03d}", inputs, residual, residual, rc.tolerance)
 
     def tree_trial(k: int) -> CheckRow:
         rng = _rng(rc, 1, k)
         mu, nu, rho = (_random_word_measure(rng) for _ in range(3))
-        residual = sigma_convolution_residual(mu, nu, rho, pair=sigma_pair_orthogonal)
+        residual = co.sigma_convolution_residual(mu, nu, rho, pair=co.sigma_pair_orthogonal)
         inputs = {"seed": rc.seed, "trial": k, "atoms": [len(m.atoms) for m in (mu, nu, rho)]}
         return check_row(f"tree-{k:03d}", inputs, residual, residual, ZERO)
 

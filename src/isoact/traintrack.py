@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import ConstraintViolation, InvalidCoordinate, PartitionOverflow
-from .exact import format_fraction, parse_fraction
+from .exact import parse_fraction
 
 Dart = Tuple[int, int]  # (edge index, end in {0, 1})
 Point = Tuple[int, Fraction]  # (edge index, chart coordinate)
@@ -429,19 +429,23 @@ def track_to_json(track: TrainTrack) -> dict:
         "vertices": list(track.vertices),
         "edges": [{"ends": [v, w]} for v, w in track.edge_ends],
         "cyclic": {str(v): [list(d) for d in ring] for v, ring in track.cyclic},
-        "widths": {f"{e}:{end}": format_fraction(val) for (e, end), val in track.a_plus},
+        "widths": {f"{e}:{end}": str(val) for (e, end), val in track.a_plus},
     }
 
 
 def track_from_json(data: dict) -> TrainTrack:
+    """Read the wire format; widths go through :func:`parse_fraction`."""
     try:
         vertices = list(data["vertices"])
         edge_ends = [tuple(entry["ends"]) for entry in data["edges"]]
+        for key in ("cyclic", "widths"):
+            if not isinstance(data[key], dict):
+                raise TypeError(f"{key!r} must be a JSON object, got {data[key]!r}")
         cyclic = {v: [tuple(d) for d in ring] for v, ring in data["cyclic"].items()}
         widths = {}
         for key, val in data["widths"].items():
             e, end = key.split(":")
             widths[(int(e), int(end))] = parse_fraction(val)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ConstraintViolation) as exc:
         raise ConstraintViolation(f"malformed train track JSON: {exc}") from exc
     return make_track(vertices, edge_ends, cyclic, widths)

@@ -313,12 +313,16 @@ class TreeAutomorphism:
         return v in self.mapping
 
 
-def boundary_derivative(auto: TreeAutomorphism, end: Address, stable_steps: int = 3) -> Fraction:
+# the number of trailing ray offsets that must agree in boundary_derivative
+STABLE_STEPS = 3
+
+
+def boundary_derivative(auto: TreeAutomorphism, end: Address) -> Fraction:
     """Scaling factor ``n^alpha`` of the canonical measure at a boundary point.
 
     ``end`` is a leaf address standing for an end through it.  Along the ray
     to the end, ``d(root, g s_j) - j`` eventually stabilises at the exponent
-    ``alpha``; the last ``stable_steps`` available values must agree, else
+    ``alpha``; the last ``STABLE_STEPS`` available values must agree, else
     :class:`Unresolvable` is raised.  Equivalently ``n^alpha`` is the ratio
     ``mu(g^{-1} C) / mu(C)`` over small cylinders ``C`` around the image end.
     """
@@ -332,11 +336,11 @@ def boundary_derivative(auto: TreeAutomorphism, end: Address, stable_steps: int 
         if not auto.defined_at(s):
             break
         tail.append(len(auto(s)) - j)
-    if len(tail) < stable_steps:
+    if len(tail) < STABLE_STEPS:
         raise Unresolvable(
-            f"only {len(tail)} ray vertices are covered; at least {stable_steps} are needed"
+            f"only {len(tail)} ray vertices are covered; at least {STABLE_STEPS} are needed"
         )
-    last = tail[-stable_steps:]
+    last = tail[-STABLE_STEPS:]
     if len(set(last)) != 1:
         raise Unresolvable(f"depth offsets {last} have not stabilised; enlarge the window")
     alpha = last[0]

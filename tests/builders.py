@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from isoact.groups import FiniteMeasure, SpMatrix, SuMatrix, su_from_json
+from isoact.groups import FiniteMeasure, SuMatrix, su_from_json
 from isoact.harmonic import OrientedGraph
 from isoact.immobile import CayleyWindow
 
@@ -90,15 +90,15 @@ def su_to_json(g: SuMatrix) -> dict:
     return {"a": [g.a.real, g.a.imag], "b": [g.b.real, g.b.imag]}
 
 
-def sp_rotation(theta: float) -> SpMatrix:
+def sp_rotation(theta: float) -> np.ndarray:
     """Planar rotation ``(cos, sin; -sin, cos)`` in Sp(2, R)."""
     c, s = math.cos(theta), math.sin(theta)
-    return SpMatrix(np.array([[c, s], [-s, c]]), 1)
+    return np.array([[c, s], [-s, c]])
 
 
-def sp_boost(t: float) -> SpMatrix:
+def sp_boost(t: float) -> np.ndarray:
     """Diagonal element ``diag(e^t, e^{-t})`` in Sp(2, R)."""
-    return SpMatrix(np.diag([math.exp(t), math.exp(-t)]), 1)
+    return np.diag([math.exp(t), math.exp(-t)])
 
 
 def delta_measure(elem) -> FiniteMeasure:

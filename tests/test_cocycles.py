@@ -1,5 +1,6 @@
-"""Scalar cocycle tests: branch-guarded phase defects, the multiplier
-ratio against its exact telescoping form, and the step-function group."""
+"""Scalar cocycle tests: branch-guarded phase defects against a scalar
+oracle, the multiplier ratio against its exact telescoping form, and the
+step-function group."""
 
 import cmath
 import math
@@ -9,14 +10,13 @@ import numpy as np
 import pytest
 
 from isoact import cocycles as co
-from isoact.errors import BranchGuard, ConstraintViolation, GroupMismatch, IllConditionedPhi
+from isoact.errors import ConstraintViolation, GroupMismatch, IllConditionedPhi
 from isoact.groups import (
     FiniteMeasure,
     FreeWord,
-    SpMatrix,
     free_reduce,
-    sp_identity,
-    sp_random,
+    sp_exp,
+    sp_form,
     su_boost,
     su_random,
 )
@@ -56,28 +56,79 @@ def random_su_measure(seed, count, max_ratio=0.7):
 # ---------------------------------------------------------------------------
 
 
+def sp_sample(rng, n, scale=0.4):
+    """The sp-tau suite's draw: ``expm(J S)`` for a normal ``2n x 2n`` raw matrix."""
+    return sp_exp(rng.normal(0.0, scale, size=(2 * n, 2 * n)), n)
+
+
+class BranchGuard(Exception):
+    """The scalar oracle's refusal where an eigenvalue could reach the branch cut."""
+
+
+def phase_factor(g):
+    """``Phi(g) = ((A + D) + i (C - B)) / 2`` in n x n blocks."""
+    n = len(g) // 2
+    a, b, c, d = g[:n, :n], g[:n, n:], g[n:, :n], g[n:, n:]
+    return 0.5 * ((a + d) + 1j * (c - b))
+
+
+def checked_phase(g):
+    p = phase_factor(g)
+    smallest = float(np.linalg.svd(p, compute_uv=False)[-1])
+    if smallest < co.PHI_SINGULAR_TOL:
+        raise IllConditionedPhi(f"phase factor has singular value {smallest:.3e}")
+    return p
+
+
+def tau(g1, g2):
+    """Phase defect ``Im tr Log(Phi(g1)^-1 Phi(g1 g2) Phi(g2)^-1)``, one pair at a time.
+
+    The scalar oracle of ``tau_terms``: an identity argument gives exactly
+    ``0.0``, and a failed guard raises where the kernel clears its mask.
+    """
+    if np.array_equal(g1, np.eye(len(g1))) or np.array_equal(g2, np.eye(len(g2))):
+        return 0.0
+    p1, p2, p12 = checked_phase(g1), checked_phase(g2), checked_phase(g1 @ g2)
+    defect = np.linalg.solve(p1, p12) @ np.linalg.inv(p2)
+    distance = float(np.linalg.norm(defect - np.eye(len(g1) // 2), 2))
+    if distance >= 1.0 - co.TAU_BRANCH_MARGIN:
+        raise BranchGuard(f"defect matrix sits {distance:.6f} from the identity")
+    return float(np.sum(np.angle(np.linalg.eigvals(defect))))
+
+
+def tau_of(g1, g2):
+    """``tau(g1, g2)`` through the package kernel, for a pair that passes its guards."""
+    values, ok = co.tau_terms(np.stack([g1, g2, g1 @ g2])[:, None], [(0, 1, 2)])
+    assert ok[0]
+    return float(values[0, 0])
+
+
 def test_phase_factor_frozen_values():
     theta, t = 0.7, 1.1
-    rot = co.phase_factor(sp_rotation(theta))
+    rot = co._phase(sp_rotation(theta), 1)
     assert abs(complex(rot[0, 0]) - cmath.exp(-1j * theta)) < 1e-14
-    boost = co.phase_factor(sp_boost(t))
+    boost = co._phase(sp_boost(t), 1)
     assert abs(complex(boost[0, 0]) - math.cosh(t)) < 1e-14
+    g = sp_sample(np.random.default_rng(1), 2)
+    assert np.array_equal(co._phase(g, 2), phase_factor(g))
 
 
 def test_tau_identity_fast_path():
     rng = np.random.default_rng(2)
-    g = sp_random(rng, 2)
-    assert co.tau(sp_identity(2), g) == 0.0
-    assert co.tau(g, sp_identity(2)) == 0.0
+    g = sp_sample(rng, 2)
+    values, ok = co.tau_terms(np.stack([np.eye(4), g])[:, None], [(0, 1, 1), (1, 0, 1), (0, 0, 0)])
+    assert ok[0]
+    assert [float(v).hex() for v in values[:, 0]] == [(0.0).hex()] * 3
+    assert tau(np.eye(4), g) == tau(g, np.eye(4)) == 0.0
 
 
 def test_tau_near_identity_honest_path():
     # an element a hair away from the identity misses the fast path and
     # must still come out at rounding scale
     g1 = sp_rotation(1e-13)
-    g2 = sp_random(np.random.default_rng(3), 1)
-    assert not g1.is_identity()
-    assert abs(co.tau(g1, g2)) < 1e-12
+    g2 = sp_sample(np.random.default_rng(3), 1)
+    assert not np.array_equal(g1, np.eye(2))
+    assert abs(tau_of(g1, g2)) < 1e-12
 
 
 def tau_det_arg(g1, g2):
@@ -86,7 +137,7 @@ def tau_det_arg(g1, g2):
     ``arg det`` of the defect matrix agrees with the eigenvalue sum
     modulo ``2 pi``; under the branch guard they agree on the nose.
     """
-    p1, p2, p12 = (co.phase_factor(g) for g in (g1, g2, g1 * g2))
+    p1, p2, p12 = (phase_factor(g) for g in (g1, g2, g1 @ g2))
     return cmath.phase(np.linalg.det(p12) / (np.linalg.det(p1) * np.linalg.det(p2)))
 
 
@@ -96,8 +147,8 @@ def tau_cocycle_residual(g1, g2, g3):
     The scalar oracle of ``tau_cocycle_residuals``: it raises where a guard
     of ``tau`` fails, and the batch must match it bit for bit elsewhere.
     """
-    lhs = co.tau(g1, g2) + co.tau(g1 * g2, g3)
-    rhs = co.tau(g2, g3) + co.tau(g1, g2 * g3)
+    lhs = tau(g1, g2) + tau(g1 @ g2, g3)
+    rhs = tau(g2, g3) + tau(g1, g2 @ g3)
     wrapped = abs(lhs - rhs) % (2.0 * math.pi)
     return min(wrapped, 2.0 * math.pi - wrapped)
 
@@ -106,81 +157,108 @@ def test_tau_matches_determinant_route():
     for i in range(50):
         rng = np.random.default_rng([41, i])
         for n in (1, 2):
-            g1, g2 = sp_random(rng, n), sp_random(rng, n)
-            assert abs(co.tau(g1, g2) - tau_det_arg(g1, g2)) < 1e-10
+            g1, g2 = sp_sample(rng, n), sp_sample(rng, n)
+            assert abs(tau_of(g1, g2) - tau_det_arg(g1, g2)) < 1e-10
 
 
 def test_tau_frozen_value():
     rng = np.random.default_rng([31, 7])
-    g1, g2 = sp_random(rng, 1), sp_random(rng, 1)
-    assert abs(co.tau(g1, g2) - (-0.009263866437152865)) < 1e-12
+    g1, g2 = sp_sample(rng, 1), sp_sample(rng, 1)
+    assert abs(tau_of(g1, g2) - (-0.009263866437152865)) < 1e-12
 
 
 def test_tau_cocycle_identity():
-    largest = 0.0
-    magnitudes = []
+    triples = {1: [], 2: []}
     for i in range(300):
         rng = np.random.default_rng([43, i])
         for n in (1, 2):
-            g1, g2, g3 = (sp_random(rng, n) for _ in range(3))
-            largest = max(largest, tau_cocycle_residual(g1, g2, g3))
-            magnitudes.append(abs(co.tau(g1, g2)))
-    assert largest <= 1e-9
-    # the identity is only evidence if the scalar itself is visible
-    assert max(magnitudes) > 0.01
+            triples[n].append([sp_sample(rng, n) for _ in range(3)])
+    for stack in triples.values():
+        g1, g2, g3 = np.array(stack).transpose(1, 0, 2, 3)
+        residuals, ok = co.tau_cocycle_residuals(g1, g2, g3)
+        assert ok.all() and residuals.max() <= 1e-9
+        # the identity is only evidence if the scalar itself is visible
+        values, ok = co.tau_terms(np.stack([g1, g2, g1 @ g2]), [(0, 1, 2)])
+        assert ok.all() and np.abs(values).max() > 0.01
 
 
 def test_tau_block_diagonal_additivity():
     rng = np.random.default_rng(47)
     for _ in range(10):
-        a1, a2 = sp_random(rng, 1), sp_random(rng, 1)
-        b1, b2 = sp_random(rng, 1), sp_random(rng, 1)
+        a1, a2 = sp_sample(rng, 1), sp_sample(rng, 1)
+        b1, b2 = sp_sample(rng, 1), sp_sample(rng, 1)
 
         def embed(x, y):
             out = np.zeros((4, 4))
-            e1, e2 = x.entries, y.entries
-            out[0, 0], out[0, 2] = e1[0, 0], e1[0, 1]
-            out[2, 0], out[2, 2] = e1[1, 0], e1[1, 1]
-            out[1, 1], out[1, 3] = e2[0, 0], e2[0, 1]
-            out[3, 1], out[3, 3] = e2[1, 0], e2[1, 1]
-            return SpMatrix(out, 2)
+            out[0, 0], out[0, 2] = x[0, 0], x[0, 1]
+            out[2, 0], out[2, 2] = x[1, 0], x[1, 1]
+            out[1, 1], out[1, 3] = y[0, 0], y[0, 1]
+            out[3, 1], out[3, 3] = y[1, 0], y[1, 1]
+            return out
 
         big1, big2 = embed(a1, b1), embed(a2, b2)
-        assert big1.defect() < 1e-12
-        total = co.tau(big1, big2)
-        parts = co.tau(a1, a2) + co.tau(b1, b2)
+        J = sp_form(2)
+        assert np.max(np.abs(big1 @ J @ big1.T - J)) < 1e-12
+        total = tau_of(big1, big2)
+        parts = tau_of(a1, a2) + tau_of(b1, b2)
         assert abs(total - parts) < 1e-12
 
 
 def test_tau_branch_guard():
+    g1, g2 = sp_boost(12.0), sp_boost(-12.0)
+    values, ok = co.tau_terms(np.stack([g1, g2, g1 @ g2])[:, None], [(0, 1, 2)])
+    assert not ok[0] and np.isnan(values[0, 0])
     with pytest.raises(BranchGuard):
-        co.tau(sp_boost(12.0), sp_boost(-12.0))
+        tau(g1, g2)
 
 
 def test_tau_rejects_non_symplectic():
+    zero, g = np.zeros((2, 2)), sp_rotation(0.3)
+    values, ok = co.tau_terms(np.stack([zero, g, zero @ g])[:, None], [(0, 1, 2)])
+    assert not ok[0] and np.isnan(values[0, 0])
     with pytest.raises(IllConditionedPhi):
-        co.tau(SpMatrix(np.zeros((2, 2)), 1), sp_rotation(0.3))
+        tau(zero, g)
 
 
-def test_tau_size_mismatch():
-    rng = np.random.default_rng(53)
-    with pytest.raises(GroupMismatch):
-        co.tau(sp_random(rng, 1), sp_random(rng, 2))
+def guarded_triples():
+    """Forty Sp(2) triples at scale 1.2, where two hit a guard and one starts at the identity."""
+    rng = np.random.default_rng(59)
+    triples = [tuple(sp_sample(rng, 1, scale=1.2) for _ in range(3)) for _ in range(40)]
+    g, h = sp_sample(rng, 1), sp_sample(rng, 1)
+    triples[5] = (sp_boost(12.0), sp_boost(-12.0), g)
+    triples[17] = (np.zeros((2, 2)), sp_rotation(0.3), h)
+    triples[30] = (np.eye(2), g, h)
+    return triples
+
+
+def sp4_triples():
+    rng = np.random.default_rng(61)
+    return [tuple(sp_sample(rng, 2, scale=2.0) for _ in range(3)) for _ in range(100)]
 
 
 def _stack(triples):
-    return [np.array([t[i].entries for t in triples]) for i in range(3)]
+    return [np.array([t[i] for t in triples]) for i in range(3)]
+
+
+@pytest.mark.parametrize("make", [guarded_triples, sp4_triples], ids=["sp2", "sp4"])
+def test_tau_terms_match_scalar_oracle(make):
+    triples = make()
+    g1, g2, g3 = _stack(triples)
+    terms = [(0, 1, 3), (1, 2, 4), (3, 2, 5)]
+    values, ok = co.tau_terms(np.stack([g1, g2, g3, g1 @ g2, g2 @ g3, g1 @ g2 @ g3]), terms)
+    for k, (x, y, z) in enumerate(triples):
+        try:
+            expected = [tau(x, y), tau(y, z), tau(x @ y, z)]
+        except (BranchGuard, IllConditionedPhi):
+            assert not ok[k] and np.isnan(values[:, k]).all()
+            continue
+        assert ok[k]
+        assert [float(v).hex() for v in values[:, k]] == [v.hex() for v in expected]
 
 
 def test_tau_residuals_match_scalar_oracle_with_guards():
-    rng = np.random.default_rng(59)
-    triples = [tuple(sp_random(rng, 1, scale=1.2) for _ in range(3)) for _ in range(40)]
-    g, h = sp_random(rng, 1), sp_random(rng, 1)
-    zero = SpMatrix(np.zeros((2, 2)), 1)
+    triples = guarded_triples()
     guarded = {5: BranchGuard, 17: IllConditionedPhi}
-    triples[5] = (sp_boost(12.0), sp_boost(-12.0), g)
-    triples[17] = (zero, sp_rotation(0.3), h)
-    triples[30] = (sp_identity(1), g, h)
     residuals, ok = co.tau_cocycle_residuals(*_stack(triples))
     assert [k for k in range(len(triples)) if not ok[k]] == sorted(guarded)
     for k, triple in enumerate(triples):
@@ -194,8 +272,7 @@ def test_tau_residuals_match_scalar_oracle_with_guards():
 
 
 def test_tau_residuals_match_scalar_oracle_sp4():
-    rng = np.random.default_rng(61)
-    triples = [tuple(sp_random(rng, 2, scale=2.0) for _ in range(3)) for _ in range(100)]
+    triples = sp4_triples()
     residuals, ok = co.tau_cocycle_residuals(*_stack(triples))
     assert ok.all()
     for k, triple in enumerate(triples):
@@ -216,7 +293,7 @@ def _sp_tau_rows_by_loop(rc):
             rng = np.random.default_rng([rc.seed, stream, k])
             inputs = {"seed": rc.seed, "trial": k, "dim": 2 * half_dim}
             for _ in range(5):
-                triple = [sp_random(rng, half_dim, rc.params["scale"]) for _ in range(3)]
+                triple = [sp_sample(rng, half_dim, rc.params["scale"]) for _ in range(3)]
                 try:
                     residual = tau_cocycle_residual(*triple)
                 except (BranchGuard, IllConditionedPhi):
@@ -225,9 +302,9 @@ def _sp_tau_rows_by_loop(rc):
                 break
             else:
                 rows.append(unresolved_row(f"{label}-{k:04d}", inputs, "branch guards exhausted"))
-        g = sp_random(np.random.default_rng([rc.seed, stream + 10, 0]), half_dim, rc.params["scale"])
-        e = sp_identity(half_dim)
-        defect = abs(co.tau(e, g)) + abs(co.tau(g, e)) + abs(co.tau(e, e))
+        g = sp_sample(np.random.default_rng([rc.seed, stream + 10, 0]), half_dim, rc.params["scale"])
+        e = np.eye(2 * half_dim)
+        defect = abs(tau(e, g)) + abs(tau(g, e)) + abs(tau(e, e))
         rows.append(check_row(f"{label}-identity", {"dim": 2 * half_dim}, defect, defect, 0.0))
     return rows
 
@@ -247,6 +324,23 @@ def test_sp_tau_suite_retries_like_the_loop(monkeypatch):
     rows = REGISTRY["sp-tau"].run(rc)
     assert {row.verdict for row in rows} == {"pass", "unresolved"}
     assert rows == _sp_tau_rows_by_loop(rc)
+
+
+def test_planted_tau_defect_fails_identity_rows(monkeypatch):
+    # The identity rows and the cocycle rows share one kernel, so a defect
+    # planted in it reaches both.  A constant shift cancels in the cocycle
+    # identity, so only the identity rows can catch this one.
+    kernel = co.tau_terms
+
+    def shifted(mats, terms):
+        values, ok = kernel(mats, terms)
+        return values + 1e-3, ok
+
+    monkeypatch.setattr(co, "tau_terms", shifted)
+    rows = REGISTRY["sp-tau"].run(resolve_config(SuiteConfig.make("sp-tau", seed=0, trials=20)))
+    verdicts = {row.id: row.verdict for row in rows}
+    assert verdicts.pop("sp2-identity") == verdicts.pop("sp4-identity") == "fail"
+    assert set(verdicts.values()) == {"pass"}
 
 
 # ---------------------------------------------------------------------------
@@ -491,9 +585,23 @@ def test_step_cocycle_hand_value():
     assert value == Fraction(2 * 5 + 3 * 7, 2)
 
 
+class SpElement:
+    """An Sp(2n) array whose ``*`` is the matrix product, as step-group cell values need."""
+
+    def __init__(self, entries):
+        self.entries = entries
+
+    def __mul__(self, other):
+        return SpElement(self.entries @ other.entries)
+
+
+def tau_of_elements(g, h):
+    return tau_of(g.entries, h.entries)
+
+
 def test_step_cocycle_identity_with_phase_values():
     def factory(r):
-        return sp_random(r, 1, scale=0.4)
+        return SpElement(sp_sample(r, 1, scale=0.4))
 
     magnitudes = []
     for seed in range(10):
@@ -501,6 +609,6 @@ def test_step_cocycle_identity_with_phase_values():
         f1 = co.random_step_automorphism(rng, int(rng.integers(1, 3)), factory)
         f2 = co.random_step_automorphism(rng, int(rng.integers(1, 3)), factory)
         f3 = co.random_step_automorphism(rng, int(rng.integers(1, 3)), factory)
-        assert co.step_cocycle_residual(f1, f2, f3, co.tau) <= 1e-9
-        magnitudes.append(abs(co.step_cocycle(f1, f2, co.tau)))
+        assert co.step_cocycle_residual(f1, f2, f3, tau_of_elements) <= 1e-9
+        magnitudes.append(abs(co.step_cocycle(f1, f2, tau_of_elements)))
     assert max(magnitudes) > 1e-3

@@ -17,6 +17,7 @@ from isoact.errors import (
 import isoact
 from isoact.harmonic import (
     OrientedGraph,
+    _pair_energy_inv,
     cylinder_basis,
     cylinder_vertices,
     divergence,
@@ -272,11 +273,41 @@ def gram_neg_log_walk(ball, k):
     return [[entry(f, g) for g in basis] for f in basis]
 
 
+def gram_inv_delta_scan(ball, k):
+    """The gram entry by entry, each one scanning every pair of cylinders
+    for the nonzero values of two basis functions."""
+    cyls = cylinder_vertices(ball, k)
+    basis = cylinder_basis(ball, k)
+    energy = {(a, b): _pair_energy_inv(ball, a, b, k) for a in cyls for b in cyls}
+    out = []
+    for f in basis:
+        row = []
+        for g in basis:
+            acc = Fraction(0)
+            for a in cyls:
+                if f[a] == 0:
+                    continue
+                for b in cyls:
+                    if g[b] == 0:
+                        continue
+                    acc += f[a] * g[b] * energy[(a, b)]
+            row.append(-acc)
+        out.append(row)
+    return out
+
+
 class TestKernelGrams:
     @pytest.mark.parametrize("n, radius, k", [(2, 4, 2), (2, 5, 3), (3, 3, 2), (2, 6, 4)])
     def test_neg_log_matches_entrywise_walk(self, n, radius, k):
         ball = TreeBall(n, radius)
         assert gram_neg_log(ball, k) == gram_neg_log_walk(ball, k)
+
+    @pytest.mark.parametrize(
+        "n, radius, k", [(2, 4, 2), (2, 5, 3), (3, 3, 2), (2, 6, 4), (12, 1, 1)]
+    )
+    def test_inv_delta_matches_cylinder_scan(self, n, radius, k):
+        ball = TreeBall(n, radius)
+        assert gram_inv_delta(ball, k) == gram_inv_delta_scan(ball, k)
 
     @pytest.mark.parametrize("n, radius, k", [(2, 4, 1), (2, 4, 4), (3, 3, 2), (5, 2, 2)])
     def test_cylinders_in_ball_order(self, n, radius, k):

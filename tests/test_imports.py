@@ -1,6 +1,7 @@
 """What importing isoact does: every name a module under ``src/isoact``
 imports is used in that module, every definition there is reachable from
-what the package runs, and the native thread pools are pinned."""
+what the package runs, every error class is raised or caught, and the
+native thread pools are pinned."""
 
 import ast
 import os
@@ -198,6 +199,66 @@ def test_scan_sees_a_dead_function():
         ),
     }
     assert unreachable(modules) == ["m.Hidden", "m.Shown.unused", "m.dead"]
+
+
+def exception_names(node: ast.AST) -> set:
+    """Class names that a ``raise`` or an ``except`` clause under ``node`` names."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Raise) and sub.exc is not None:
+            named = [sub.exc.func if isinstance(sub.exc, ast.Call) else sub.exc]
+        elif isinstance(sub, ast.ExceptHandler) and sub.type is not None:
+            named = sub.type.elts if isinstance(sub.type, ast.Tuple) else [sub.type]
+        else:
+            continue
+        for name in named:
+            if isinstance(name, ast.Name):
+                out.add(name.id)
+            elif isinstance(name, ast.Attribute):
+                out.add(name.attr)
+    return out
+
+
+def unused_errors(modules: dict) -> list:
+    """Subclasses of ``IsoactError`` in ``errors`` that no module raises or catches by name."""
+    errors = {"IsoactError"}
+    for node in modules["errors"].body:
+        if isinstance(node, ast.ClassDef) and any(
+            isinstance(base, ast.Name) and base.id in errors for base in node.bases
+        ):
+            errors.add(node.name)
+    used = set().union(*(exception_names(tree) for tree in modules.values()))
+    return sorted(errors - used - {"IsoactError"})
+
+
+def test_every_error_is_raised_or_caught():
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    unused = unused_errors(modules)
+    assert not unused, (
+        f"IsoactError subclasses that no module under src/isoact raises or catches: {unused}"
+    )
+
+
+def test_scan_sees_an_orphan_error():
+    modules = {
+        "errors": ast.parse(
+            "class IsoactError(Exception):\n    pass\n"
+            "class Raised(IsoactError):\n    pass\n"
+            "class Caught(IsoactError):\n    pass\n"
+            "class Orphan(IsoactError):\n    pass\n"
+            "class Grandchild(Raised):\n    pass\n"
+            "class Unrelated(Exception):\n    pass\n"
+        ),
+        "m": ast.parse(
+            "from . import errors\n"
+            "def f(x):\n"
+            "    try:\n        raise Raised(f'{x}')\n"
+            "    except (errors.Caught, ValueError):\n        pass\n"
+            "    # named, but neither raised nor caught\n"
+            "    return Orphan, Grandchild\n"
+        ),
+    }
+    assert unused_errors(modules) == ["Grandchild", "Orphan"]
 
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -471,6 +471,40 @@ class TestModuleCommands:
         assert result.exit_code == 1
         assert json.loads(result.output)["ok"] is False
 
+    @pytest.mark.parametrize(
+        "change, key",
+        [
+            ({"widths": {"0:0": 1.5}}, "got 1.5"),
+            ({"widths": {"0:0": None}}, "got None"),
+            ({"widths": {"0:0": "1/0"}}, "got '1/0'"),
+            ({"widths": {"0:0": True}}, "got True"),
+            ({"widths": []}, "'widths' must be a JSON object"),
+            ({"cyclic": []}, "'cyclic' must be a JSON object"),
+        ],
+        ids=["float", "null", "zero-denominator", "bool", "widths-list", "cyclic-list"],
+    )
+    def test_rtree_validate_refuses_bad_rationals(self, change, key):
+        track = json.loads(TWO_SEGMENTS)
+        for name, value in change.items():
+            track[name] = {**track[name], **value} if isinstance(value, dict) else value
+        result = self.invoke("rtree", "validate", "--track", json.dumps(track))
+        assert result.exit_code == 1
+        data = json.loads(result.output)
+        assert data["ok"] is False and key in data["error"]
+
+    @pytest.mark.parametrize(
+        "g, key",
+        [
+            ('{"a":["5/4",0.0],"b":["3/4",0]}', "mix floats"),
+            ('{"a":["x",0],"b":[0,0]}', "got 'x'"),
+            ('{"a":["1/0",0],"b":[0,0]}', "got '1/0'"),
+            ('{"a":[true,0],"b":[0,0]}', "got True"),
+        ],
+        ids=["mixed", "unparsable", "zero-denominator", "bool"],
+    )
+    def test_mobius_refuses_bad_rationals(self, g, key):
+        assert_one_error_line(self.invoke("mobius", "length", "--g", g), key)
+
     def test_mobius_identity_has_zero_length(self):
         data = self.out("mobius", "length", "--g", '{"a":["1","0"],"b":["0","0"]}')
         assert data["length"] == 0.0

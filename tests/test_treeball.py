@@ -360,10 +360,10 @@ class TestAutomorphismWindows:
         g = free_reduce((1,), 2)
         auto = freeword_automorphism(g, 3)
         # ray covered only up to depth 2 inside a radius-3 window: with the
-        # image escaping, fewer than three offsets are available
+        # image escaping, fewer than STABLE_STEPS = 3 offsets are available
         short = word_to_address(free_reduce((-2, 1, 1), 2))
-        with pytest.raises(Unresolvable):
-            boundary_derivative(auto, short, stable_steps=4)
+        with pytest.raises(Unresolvable, match="only 2 ray vertices are covered; at least 3"):
+            boundary_derivative(auto, short)
 
     def test_matrix_translation_derivative(self):
         # diag(p, 1) translates the standard apartment one step; the
