@@ -29,14 +29,7 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 del _name
 
-from .errors import (
-    ConfigError,
-    ConstraintViolation,
-    IllConditionedPhi,
-    IoError,
-    IsoactError,
-    VertexNotFound,
-)
+from .errors import ConfigError, ConstraintViolation, IsoactError
 from .groups import FiniteMeasure, FreeWord, SuMatrix
 from .report import Report, SuiteConfig
 from .suites import resolve_config, run_suite, suite_names
@@ -49,14 +42,11 @@ __all__ = [
     "ConstraintViolation",
     "FiniteMeasure",
     "FreeWord",
-    "IllConditionedPhi",
-    "IoError",
     "IsoactError",
     "Report",
     "SuMatrix",
     "SuiteConfig",
     "TreeBall",
-    "VertexNotFound",
     "resolve_config",
     "run_suite",
     "suite_names",

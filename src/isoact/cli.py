@@ -27,7 +27,8 @@ from .cocycles import (
     sigma_pair,
     step_cocycle_residual,
 )
-from .errors import BadGeneratorIndex, ConfigError, ConstraintViolation, IsoactError
+from .errors import ConfigError, ConstraintViolation, IsoactError
+from .exact import parse_fraction
 from .groups import su_from_json, su_random, word_from_json
 from .harmonic import (
     cylinder_vertices,
@@ -100,7 +101,7 @@ def parse_option(text: str, what: str, decode):
     data = parse_json(text, what)
     try:
         return decode(data)
-    except (BadGeneratorIndex, ConstraintViolation) as exc:
+    except ConstraintViolation as exc:
         raise ConfigError(f"{what}: {exc}") from exc
 
 
@@ -110,16 +111,6 @@ def parse_address(text: str, what: str):
     if not isinstance(digits, list) or not all(type(d) is int for d in digits):
         raise ConfigError(f"{what} must be a JSON list of integers, got {text!r}")
     return tuple(digits)
-
-
-def parse_rational(value, what: str) -> Fraction:
-    """An exact rational from a JSON integer, float or "p/q" string."""
-    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
-        try:
-            return Fraction(str(value))
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise ConfigError(f"{what} entries must be integers or 'p/q' strings, got {value!r}")
 
 
 def parse_group(text: str) -> int:
@@ -304,14 +295,16 @@ def tree_latdist(p, m1, m2):
     """Tree distance between two lattice classes given by column matrices."""
 
     def matrix(text, what):
-        rows = parse_json(text, what)
-        if not (
-            isinstance(rows, list)
-            and len(rows) == 2
-            and all(isinstance(row, list) and len(row) == 2 for row in rows)
-        ):
-            raise ConfigError(f"{what} must be a 2x2 JSON matrix, got {text!r}")
-        return tuple(tuple(parse_rational(x, what) for x in row) for row in rows)
+        def decode(rows):
+            if not (
+                isinstance(rows, list)
+                and len(rows) == 2
+                and all(isinstance(row, list) and len(row) == 2 for row in rows)
+            ):
+                raise ConfigError(f"{what} must be a 2x2 JSON matrix, got {text!r}")
+            return tuple(tuple(parse_fraction(x) for x in row) for row in rows)
+
+        return parse_option(text, what, decode)
 
     emit({"distance": lattice_distance(matrix(m1, "--m1"), matrix(m2, "--m2"), p)})
 
@@ -448,13 +441,17 @@ def rtree_validate(ctx, track):
 def rtree_metric(track, points):
     """Exact pairwise strip-space distances between chart points."""
     loaded = load_track(track)
-    entries = parse_json(points, "--points")
-    if not isinstance(entries, list) or not all(
-        isinstance(p, list) and len(p) == 2 and type(p[0]) is int for p in entries
-    ):
-        raise ConfigError(f'--points must be a JSON list of [edge, "p/q"] pairs, got {points!r}')
-    pts = [(e, parse_rational(x, "--points")) for e, x in entries]
-    metric = TrackMetric(loaded, pts)
+
+    def decode(entries):
+        if not isinstance(entries, list) or not all(
+            isinstance(p, list) and len(p) == 2 and type(p[0]) is int for p in entries
+        ):
+            raise ConfigError(
+                f'--points must be a JSON list of [edge, "p/q"] pairs, got {points!r}'
+            )
+        return [(e, parse_fraction(x)) for e, x in entries]
+
+    metric = TrackMetric(loaded, parse_option(points, "--points", decode))
     emit({"distances": [[str(d) for d in row] for row in metric.pairwise()]})
 
 
@@ -511,8 +508,8 @@ def mobius():
 @guarded
 def mobius_gram(g1, g2):
     """Closed-form pairing of two disc cocycles."""
-    a = su_from_json(parse_json(g1, "--g1"))
-    b = su_from_json(parse_json(g2, "--g2"))
+    a = parse_option(g1, "--g1", su_from_json)
+    b = parse_option(g2, "--g2", su_from_json)
     value = mo.gamma_gram(a, b)
     emit(
         {
@@ -530,8 +527,8 @@ def mobius_gram(g1, g2):
 @guarded
 def mobius_cocycle(g1, g2, degree):
     """Truncated affine cocycle residual on the half-degree block."""
-    a = su_from_json(parse_json(g1, "--g1"))
-    b = su_from_json(parse_json(g2, "--g2"))
+    a = parse_option(g1, "--g1", su_from_json)
+    b = parse_option(g2, "--g2", su_from_json)
     residual = mo.affine_cocycle_residual(a, b, degree=degree)
     emit({"residual": residual, "degree": degree})
 
@@ -541,7 +538,7 @@ def mobius_cocycle(g1, g2, degree):
 @guarded
 def mobius_length(g):
     """Hyperbolic translation length of a disc isometry."""
-    emit({"length": mo.hyperbolic_length(su_from_json(parse_json(g, "--g")))})
+    emit({"length": mo.hyperbolic_length(parse_option(g, "--g", su_from_json))})
 
 
 @mobius.command(name="gns")
@@ -601,24 +598,26 @@ def cocycle_lattice(first, second):
     """Exact symplectic form of two formal lattice combinations."""
 
     def combo(text, what):
-        entries = parse_json(text, what)
-        if not isinstance(entries, list) or not all(
-            isinstance(e, list)
-            and len(e) == 2
-            and isinstance(e[1], list)
-            and all(isinstance(p, list) and len(p) == 2 for p in e[1])
-            for e in entries
-        ):
-            raise ConfigError(
-                f"{what} must be a JSON list of [alpha, [[re, im], ...]] pairs, got {text!r}"
-            )
-        return [
-            (
-                parse_rational(alpha, what),
-                tuple((parse_rational(re, what), parse_rational(im, what)) for re, im in vec),
-            )
-            for alpha, vec in entries
-        ]
+        def decode(entries):
+            if not isinstance(entries, list) or not all(
+                isinstance(e, list)
+                and len(e) == 2
+                and isinstance(e[1], list)
+                and all(isinstance(p, list) and len(p) == 2 for p in e[1])
+                for e in entries
+            ):
+                raise ConfigError(
+                    f"{what} must be a JSON list of [alpha, [[re, im], ...]] pairs, got {text!r}"
+                )
+            return [
+                (
+                    parse_fraction(alpha),
+                    tuple((parse_fraction(re), parse_fraction(im)) for re, im in vec),
+                )
+                for alpha, vec in entries
+            ]
+
+        return parse_option(text, what, decode)
 
     value = lattice_sigma(combo(first, "--first"), combo(second, "--second"))
     emit({"sigma": str(value)})

@@ -36,7 +36,7 @@ from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConstraintViolation, GroupMismatch
+from .errors import ConstraintViolation
 from .groups import FiniteMeasure, FreeWord, SuMatrix
 
 # ---------------------------------------------------------------------------
@@ -112,7 +112,7 @@ def tau_cocycle_residuals(
     a term of triple ``k``, ``ok[k]`` is False and its residual is NaN.
     """
     if not (g1.shape == g2.shape == g3.shape) or g1.ndim != 3:
-        raise GroupMismatch("expected three stacks of the same shape (T, 2n, 2n)")
+        raise ConstraintViolation("expected three stacks of the same shape (T, 2n, 2n)")
     g12 = g1 @ g2
     g23 = g2 @ g3
     # The seven matrices whose phase factors the four tau terms read, and
@@ -155,7 +155,7 @@ def sigma_pair_orthogonal(g: FreeWord, h: FreeWord) -> Fraction:
     convolution identity be checked in exact arithmetic.
     """
     if not isinstance(g, FreeWord) or not isinstance(h, FreeWord):
-        raise GroupMismatch("orthogonal pairing expects reduced words")
+        raise ConstraintViolation("orthogonal pairing expects reduced words")
     return Fraction(0)
 
 

@@ -32,7 +32,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .errors import PreconditionViolation, TruncationOverflow
+from .errors import ConstraintViolation
 
 MAX_DIMENSION = 3
 MAX_DEGREE = 14
@@ -43,11 +43,11 @@ MultiIndex = Tuple[int, ...]
 
 def check_scale(dimension: int, degree: int) -> None:
     if dimension < 1 or dimension > MAX_DIMENSION:
-        raise TruncationOverflow(
+        raise ConstraintViolation(
             f"dimension {dimension} outside supported range 1..{MAX_DIMENSION}"
         )
     if degree < 1 or degree > MAX_DEGREE:
-        raise TruncationOverflow(
+        raise ConstraintViolation(
             f"degree {degree} outside supported range 1..{MAX_DEGREE}"
         )
 
@@ -75,7 +75,7 @@ def require_unitary(mat: np.ndarray) -> None:
     d = mat.shape[0]
     defect = float(np.abs(mat.conj().T @ mat - np.eye(d)).max())
     if defect > UNITARY_TOL:
-        raise PreconditionViolation(
+        raise ConstraintViolation(
             f"linear part departs from unitarity by {defect:.3e}"
         )
 
@@ -93,7 +93,7 @@ def exp_matrix(t: np.ndarray, gamma: np.ndarray, degree: int) -> np.ndarray:
     dimension = t.shape[0]
     check_scale(dimension, degree)
     if t.shape != (dimension, dimension) or gamma.shape != (dimension,):
-        raise PreconditionViolation(
+        raise ConstraintViolation(
             f"shape mismatch: T {t.shape}, gamma {gamma.shape}"
         )
     require_unitary(t)

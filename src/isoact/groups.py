@@ -26,11 +26,7 @@ from typing import Iterable, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import (
-    BadGeneratorIndex,
-    ConstraintViolation,
-    GroupMismatch,
-)
+from .errors import ConstraintViolation
 from .exact import parse_fraction
 
 SU_CONSTRAINT_TOL = 1e-12
@@ -71,11 +67,12 @@ class SuMatrix:
 
 def su_from_params(a: complex, b: complex) -> SuMatrix:
     """Build an :class:`SuMatrix`, enforcing ``|a|^2 - |b|^2 = 1`` within
-    ``1e-12``.  Raises :class:`ConstraintViolation` otherwise.
+    ``1e-12``.  Raises :class:`ConstraintViolation` otherwise, and for a
+    defect that is not finite, such as ``inf - inf`` from infinite entries.
     """
     g = SuMatrix(a, b)
     defect = g.defect()
-    if abs(defect) > SU_CONSTRAINT_TOL:
+    if not abs(defect) <= SU_CONSTRAINT_TOL:
         raise ConstraintViolation(f"|a|^2 - |b|^2 - 1 = {defect:.3e} exceeds 1e-12")
     return g
 
@@ -188,7 +185,7 @@ class FreeWord:
 
     def __mul__(self, other: "FreeWord") -> "FreeWord":
         if self.rank != other.rank:
-            raise GroupMismatch("free words over different ranks")
+            raise ConstraintViolation("free words over different ranks")
         a, b = self.letters, other.letters
         i, n = 0, min(len(a), len(b))
         while i < n and a[-1 - i] == -b[i]:
@@ -225,12 +222,12 @@ def free_reduce(letters: Iterable[int], rank: int) -> FreeWord:
 
     Reduction by a stack scan; the result is independent of cancellation
     order (free-group words have unique reduced forms).  Raises
-    :class:`BadGeneratorIndex` for letters outside ``1..rank`` in modulus.
+    :class:`ConstraintViolation` for letters outside ``1..rank`` in modulus.
     """
     stack: list[int] = []
     for letter in letters:
         if not isinstance(letter, int) or letter == 0 or abs(letter) > rank:
-            raise BadGeneratorIndex(f"letter {letter!r} outside generators 1..{rank}")
+            raise ConstraintViolation(f"letter {letter!r} outside generators 1..{rank}")
         if stack and stack[-1] == -letter:
             stack.pop()
         else:
@@ -310,19 +307,23 @@ class FiniteMeasure:
 def measure_convolve(mu: FiniteMeasure, nu: FiniteMeasure) -> FiniteMeasure:
     """Convolution: atoms ``g * h`` with weights ``p q``, merged exactly.
 
-    Raises :class:`GroupMismatch` when atom types differ or lack a product.
+    Raises :class:`ConstraintViolation` when atom types differ or lack a product.
     """
     if mu.atoms and nu.atoms:
         t1 = type(mu.atoms[0][0])
         t2 = type(nu.atoms[0][0])
         if t1 is not t2:
-            raise GroupMismatch(f"cannot convolve atoms of types {t1.__name__} and {t2.__name__}")
+            raise ConstraintViolation(
+                f"cannot convolve atoms of types {t1.__name__} and {t2.__name__}"
+            )
     pairs = []
     for g, p in mu.atoms:
         for h, q in nu.atoms:
             try:
                 gh = g * h
             except TypeError as exc:
-                raise GroupMismatch(f"atoms of type {type(g).__name__} have no product") from exc
+                raise ConstraintViolation(
+                    f"atoms of type {type(g).__name__} have no product"
+                ) from exc
             pairs.append((gh, p * q))
     return FiniteMeasure.from_atoms(pairs)

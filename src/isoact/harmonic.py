@@ -29,12 +29,7 @@ from functools import cached_property
 from itertools import product
 from typing import Dict, List, Sequence, Tuple
 
-from .errors import (
-    BallTooSmall,
-    ConstraintViolation,
-    NotZeroMean,
-    SolveFailure,
-)
+from .errors import ConstraintViolation
 from .treeball import (
     Address,
     TreeBall,
@@ -171,13 +166,13 @@ def poisson_transform(
 
     Requires ``radius >= k + 2`` so at least one interior shell separates
     the data depth from the window boundary, and zero mean at the root
-    (:class:`NotZeroMean` otherwise).
+    (:class:`ConstraintViolation` otherwise).
     """
     if ball.radius < k + 2:
-        raise BallTooSmall(f"radius {ball.radius} < {k + 2}; enlarge the ball or lower k")
+        raise ConstraintViolation(f"radius {ball.radius} < {k + 2}; enlarge the ball or lower k")
     mean = root_mean(ball, k, values)
     if mean != 0:
-        raise NotZeroMean(f"data has root mean {mean}; subtract it first")
+        raise ConstraintViolation(f"data has root mean {mean}; subtract it first")
     leaves = ball.leaves()
     leaf_val = {l: Fraction(values[l[:k]]) for l in leaves}
     out: List[Fraction] = []
@@ -310,11 +305,11 @@ def harmonic_decompose(graph: OrientedGraph, flow: Sequence):
     so the one precondition is a nonzero root pivot: the tree must have a
     boundary vertex.  Exact flows (ints and Fractions) give exact results,
     float flows give floats.  A graph that is not a tree, or has no
-    boundary vertex, raises :class:`SolveFailure`.
+    boundary vertex, raises :class:`ConstraintViolation`.
     """
     count = len(graph.vertices)
     if len(graph.edges) != count - 1:
-        raise SolveFailure(f"not a tree: {len(graph.edges)} edges on {count} vertices")
+        raise ConstraintViolation(f"not a tree: {len(graph.edges)} edges on {count} vertices")
     parent = [-1] * count
     order = [0]
     seen = [False] * count
@@ -328,7 +323,9 @@ def harmonic_decompose(graph: OrientedGraph, flow: Sequence):
                 parent[j] = i
                 order.append(j)
     if len(order) != count:
-        raise SolveFailure(f"not a tree: only {len(order)} of {count} vertices are connected")
+        raise ConstraintViolation(
+            f"not a tree: only {len(order)} of {count} vertices are connected"
+        )
     unit = Fraction(1) if all(isinstance(x, (Fraction, int)) for x in flow) else 1.0
     pivot = [unit * graph.degree(i) for i in range(count)]
     rhs = divergence(graph, flow)
@@ -338,7 +335,7 @@ def harmonic_decompose(graph: OrientedGraph, flow: Sequence):
         if not graph.interior[i]:
             continue
         if pivot[i] == 0:
-            raise SolveFailure("zero root pivot: the tree has no boundary vertex")
+            raise ConstraintViolation("zero root pivot: the tree has no boundary vertex")
         a[i] = unit / pivot[i]
         c[i] = rhs[i] / pivot[i]
         if i != 0:

@@ -35,7 +35,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConstraintViolation, IllConditionedPhi
+from .errors import ConstraintViolation
 from .groups import SuMatrix
 
 # ---------------------------------------------------------------------------
@@ -223,7 +223,7 @@ GNS_NEGATIVE_TOL = 1e-6
 def gns_vectors(gram: np.ndarray) -> np.ndarray:
     """Rows are vectors realising the gram; fails loudly off the cone.
 
-    Raises :class:`IllConditionedPhi` when the gram has an eigenvalue more
+    Raises :class:`ConstraintViolation` when the gram has an eigenvalue more
     negative than ``GNS_NEGATIVE_TOL`` times the largest, which would mean
     the kernel arithmetic upstream produced something that is not a gram
     at all.
@@ -232,6 +232,6 @@ def gns_vectors(gram: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(sym)
     top = max(float(vals[-1]), 1.0)
     if float(vals[0]) < -GNS_NEGATIVE_TOL * top:
-        raise IllConditionedPhi(f"gram eigenvalue {vals[0]:.3e} is negative beyond tolerance")
+        raise ConstraintViolation(f"gram eigenvalue {vals[0]:.3e} is negative beyond tolerance")
     clipped = np.clip(vals, 0.0, None)
     return vecs @ np.diag(np.sqrt(clipped))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from .errors import ConfigError, IoError
+from .errors import ConfigError
 
 PASS = "pass"
 FAIL = "fail"
@@ -209,4 +209,4 @@ def emit_report(report: Report, fmt: str, path: str) -> None:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
     except OSError as exc:
-        raise IoError(f"cannot write report to {path}: {exc}") from exc
+        raise ConfigError(f"cannot write report to {path}: {exc}") from exc

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .errors import ConstraintViolation, InvalidCoordinate, PartitionOverflow
+from .errors import ConstraintViolation
 from .exact import parse_fraction
 
 Dart = Tuple[int, int]  # (edge index, end in {0, 1})
@@ -78,10 +78,10 @@ class TrainTrack:
     def check_point(self, p: Point) -> Point:
         e, x = p
         if not 0 <= e < len(self.edge_ends):
-            raise InvalidCoordinate(f"edge index {e} out of range")
+            raise ConstraintViolation(f"edge index {e} out of range")
         x = Fraction(x)
         if not 0 <= x <= self.width(e):
-            raise InvalidCoordinate(f"coordinate {x} outside [0, {self.width(e)}] on edge {e}")
+            raise ConstraintViolation(f"coordinate {x} outside [0, {self.width(e)}] on edge {e}")
         return (e, x)
 
     def glue_images(self, p: Point) -> List[Point]:
@@ -172,7 +172,7 @@ class TrackMetric:
 
     Closure points are merged with their gluing images by union-find, and
     consecutive closure points on a chart join their classes by their gap.
-    A closure beyond ``CLOSURE_CAP`` points raises :class:`PartitionOverflow`;
+    A closure beyond ``CLOSURE_CAP`` points raises :class:`ConstraintViolation`;
     points in different components raise :class:`ConstraintViolation`.
     """
 
@@ -198,7 +198,7 @@ class TrackMetric:
         frontier = list(parent)
         while frontier:
             if len(parent) > CLOSURE_CAP:
-                raise PartitionOverflow(f"breakpoint closure exceeded {CLOSURE_CAP} points")
+                raise ConstraintViolation(f"breakpoint closure exceeded {CLOSURE_CAP} points")
             nxt: List[Point] = []
             for p in frontier:
                 for q in track.glue_images(p):
@@ -222,7 +222,7 @@ class TrackMetric:
         p = self.track.check_point(p)
         q = self.track.check_point(q)
         if p not in self.cls or q not in self.cls:
-            raise InvalidCoordinate("query points must be supplied at construction")
+            raise ConstraintViolation("query points must be supplied at construction")
         target = self.cls[q]
         done = set()
         heap: List[Tuple[Fraction, Point]] = [(Fraction(0), self.cls[p])]
@@ -268,7 +268,7 @@ def grid_gluings(track: TrainTrack, step: Fraction) -> Tuple[List[int], List[Glu
         widths.append(int(w))
     total = sum(widths) + len(widths)
     if total > GRID_CAP:
-        raise PartitionOverflow(f"grid has {total} nodes; coarsen the step")
+        raise ConstraintViolation(f"grid has {total} nodes; coarsen the step")
     corner: Dict[Dart, int] = {}
     for d, val in track.a_plus:
         a = val / step

@@ -22,13 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .errors import (
-    BallTooSmall,
-    ConstraintViolation,
-    SingularLattice,
-    Unresolvable,
-    VertexNotFound,
-)
+from .errors import ConstraintViolation
 from .groups import FreeWord
 
 Address = Tuple[int, ...]
@@ -112,7 +106,7 @@ class TreeBall:
 
     def parent(self, v: Address) -> Address:
         if not v:
-            raise VertexNotFound("the root has no parent")
+            raise ConstraintViolation("the root has no parent")
         return v[:-1]
 
     def contains(self, v: Address) -> bool:
@@ -126,7 +120,9 @@ class TreeBall:
 
     def require(self, v: Address) -> None:
         if not self.contains(v):
-            raise VertexNotFound(f"address {v} is not in the ball (n={self.n}, radius={self.radius})")
+            raise ConstraintViolation(
+                f"address {v} is not in the ball (n={self.n}, radius={self.radius})"
+            )
 
     def is_interior(self, v: Address) -> bool:
         """Whether all ``n + 1`` neighbours of ``v`` lie in the ball."""
@@ -155,7 +151,7 @@ def abs_metric(ball: TreeBall, x: Address, y: Address) -> Fraction:
     ``x`` and ``y`` are addresses standing for ends through them; ``m`` is
     the depth at which the two diverge.  Equal addresses give 0.  When one
     address is a proper prefix of the other the ball cannot tell the ends
-    apart, and :class:`Unresolvable` is raised rather than guessing.
+    apart, and :class:`ConstraintViolation` is raised rather than guessing.
     """
     ball.require(x)
     ball.require(y)
@@ -163,7 +159,7 @@ def abs_metric(ball: TreeBall, x: Address, y: Address) -> Fraction:
         return Fraction(0)
     m = common_prefix_length(x, y)
     if m == min(len(x), len(y)):
-        raise Unresolvable(
+        raise ConstraintViolation(
             f"addresses {x} and {y} agree on all available digits; a deeper ball is needed"
         )
     return Fraction(1, ball.n**m)
@@ -191,7 +187,7 @@ def measure_from(ball: TreeBall, u: Address, leaf: Address) -> Fraction:
     ball.require(u)
     ball.require(leaf)
     if len(leaf) != ball.radius:
-        raise VertexNotFound(f"{leaf} is not a leaf of the radius-{ball.radius} ball")
+        raise ConstraintViolation(f"{leaf} is not a leaf of the radius-{ball.radius} ball")
     d = tree_distance(u, leaf)
     if d == 0:
         return Fraction(ball.n, ball.n + 1)
@@ -225,7 +221,7 @@ def mat_det(x: Matrix2) -> Fraction:
 def mat_inv(x: Matrix2) -> Matrix2:
     d = mat_det(x)
     if d == 0:
-        raise SingularLattice("matrix is singular; columns do not span a lattice")
+        raise ConstraintViolation("matrix is singular; columns do not span a lattice")
     return ((x[1][1] / d, -x[0][1] / d), (-x[1][0] / d, x[0][0] / d))
 
 
@@ -265,7 +261,7 @@ def lattice_distance(m1, m2, p: int) -> int:
     a = mat_mul(mat_inv(_mat(m1)), _mat(m2))
     d = mat_det(a)
     if d == 0:
-        raise SingularLattice("second matrix is singular")
+        raise ConstraintViolation("second matrix is singular")
     dv = padic_valuation(d, p)
     mv = min(padic_valuation(a[i][j], p) for i in range(2) for j in range(2))
     return int(dv - 2 * mv)
@@ -306,7 +302,7 @@ class TreeAutomorphism:
 
     def __call__(self, v: Address) -> Address:
         if v not in self.mapping:
-            raise VertexNotFound(f"automorphism window does not cover {v}")
+            raise ConstraintViolation(f"automorphism window does not cover {v}")
         return self.mapping[v]
 
     def defined_at(self, v: Address) -> bool:
@@ -323,13 +319,13 @@ def boundary_derivative(auto: TreeAutomorphism, end: Address) -> Fraction:
     ``end`` is a leaf address standing for an end through it.  Along the ray
     to the end, ``d(root, g s_j) - j`` eventually stabilises at the exponent
     ``alpha``; the last ``STABLE_STEPS`` available values must agree, else
-    :class:`Unresolvable` is raised.  Equivalently ``n^alpha`` is the ratio
+    :class:`ConstraintViolation` is raised.  Equivalently ``n^alpha`` is the ratio
     ``mu(g^{-1} C) / mu(C)`` over small cylinders ``C`` around the image end.
     """
     ball = auto.ball
     ball.require(end)
     if len(end) != ball.radius:
-        raise BallTooSmall("the end must be specified to the full radius of the ball")
+        raise ConstraintViolation("the end must be specified to the full radius of the ball")
     tail: List[int] = []
     for j in range(1, len(end) + 1):
         s = end[:j]
@@ -337,12 +333,12 @@ def boundary_derivative(auto: TreeAutomorphism, end: Address) -> Fraction:
             break
         tail.append(len(auto(s)) - j)
     if len(tail) < STABLE_STEPS:
-        raise Unresolvable(
+        raise ConstraintViolation(
             f"only {len(tail)} ray vertices are covered; at least {STABLE_STEPS} are needed"
         )
     last = tail[-STABLE_STEPS:]
     if len(set(last)) != 1:
-        raise Unresolvable(f"depth offsets {last} have not stabilised; enlarge the window")
+        raise ConstraintViolation(f"depth offsets {last} have not stabilised; enlarge the window")
     alpha = last[0]
     n = ball.n
     return Fraction(n**alpha) if alpha >= 0 else Fraction(1, n ** (-alpha))

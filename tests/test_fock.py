@@ -10,7 +10,7 @@ import pytest
 from scipy.special import eval_genlaguerre
 
 from isoact import fock as fo
-from isoact.errors import PreconditionViolation, TruncationOverflow
+from isoact.errors import ConstraintViolation
 
 
 def test_multi_index_counts():
@@ -29,13 +29,13 @@ def test_multi_index_order():
 
 def test_scale_guards():
     rng = np.random.default_rng(0)
-    with pytest.raises(TruncationOverflow):
+    with pytest.raises(ConstraintViolation, match="dimension 4 outside supported range"):
         fo.check_scale(4, 8)
-    with pytest.raises(TruncationOverflow):
+    with pytest.raises(ConstraintViolation, match="degree 15 outside supported range"):
         fo.check_scale(2, 15)
-    with pytest.raises(PreconditionViolation):
+    with pytest.raises(ConstraintViolation, match="departs from unitarity"):
         fo.exp_matrix(np.array([[1.2]]), np.array([0.0]), 8)
-    with pytest.raises(PreconditionViolation):
+    with pytest.raises(ConstraintViolation, match="shape mismatch"):
         fo.exp_matrix(fo.haar_unitary(rng, 2), np.zeros(3), 8)
 
 

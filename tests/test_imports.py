@@ -1,7 +1,7 @@
 """What importing isoact does: every name a module under ``src/isoact``
 imports is used in that module, every definition there is reachable from
-what the package runs, every error class is raised or caught, and the
-native thread pools are pinned."""
+what the package runs, every error class is raised or caught, every raised
+error carries a message, and the native thread pools are pinned."""
 
 import ast
 import os
@@ -201,9 +201,8 @@ def test_scan_sees_a_dead_function():
     assert unreachable(modules) == ["m.Hidden", "m.Shown.unused", "m.dead"]
 
 
-def exception_names(node: ast.AST) -> set:
-    """Class names that a ``raise`` or an ``except`` clause under ``node`` names."""
-    out = set()
+def exception_clauses(node: ast.AST):
+    """Each ``raise`` and ``except`` clause under ``node``, with the class names it names."""
     for sub in ast.walk(node):
         if isinstance(sub, ast.Raise) and sub.exc is not None:
             named = [sub.exc.func if isinstance(sub.exc, ast.Call) else sub.exc]
@@ -211,24 +210,47 @@ def exception_names(node: ast.AST) -> set:
             named = sub.type.elts if isinstance(sub.type, ast.Tuple) else [sub.type]
         else:
             continue
+        out = set()
         for name in named:
             if isinstance(name, ast.Name):
                 out.add(name.id)
             elif isinstance(name, ast.Attribute):
                 out.add(name.attr)
-    return out
+        yield sub, out
 
 
-def unused_errors(modules: dict) -> list:
-    """Subclasses of ``IsoactError`` in ``errors`` that no module raises or catches by name."""
+def exception_names(node: ast.AST) -> set:
+    """Class names that a ``raise`` or an ``except`` clause under ``node`` names."""
+    return set().union(*(names for _, names in exception_clauses(node)))
+
+
+def error_classes(modules: dict) -> set:
+    """``IsoactError`` and its subclasses in ``errors``."""
     errors = {"IsoactError"}
     for node in modules["errors"].body:
         if isinstance(node, ast.ClassDef) and any(
             isinstance(base, ast.Name) and base.id in errors for base in node.bases
         ):
             errors.add(node.name)
+    return errors
+
+
+def unused_errors(modules: dict) -> list:
+    """Subclasses of ``IsoactError`` in ``errors`` that no module raises or catches by name."""
     used = set().union(*(exception_names(tree) for tree in modules.values()))
-    return sorted(errors - used - {"IsoactError"})
+    return sorted(error_classes(modules) - used - {"IsoactError"})
+
+
+def silent_raises(modules: dict) -> list:
+    """``module:line`` of each ``raise`` of an ``IsoactError`` class that passes no message."""
+    errors = error_classes(modules)
+    out = []
+    for module, tree in modules.items():
+        for clause, names in exception_clauses(tree):
+            if isinstance(clause, ast.Raise) and names & errors:
+                if not (isinstance(clause.exc, ast.Call) and clause.exc.args):
+                    out.append(f"{module}:{clause.lineno}")
+    return sorted(out)
 
 
 def test_every_error_is_raised_or_caught():
@@ -259,6 +281,32 @@ def test_scan_sees_an_orphan_error():
         ),
     }
     assert unused_errors(modules) == ["Grandchild", "Orphan"]
+
+
+def test_every_raised_error_has_a_message():
+    # the CLI prints only the message, and two failures of one class differ only there
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    silent = silent_raises(modules)
+    assert not silent, f"raises of an IsoactError class with no message: {silent}"
+
+
+def test_scan_sees_a_silent_raise():
+    modules = {
+        "errors": ast.parse(
+            "class IsoactError(Exception):\n    pass\n"
+            "class Raised(IsoactError):\n    pass\n"
+        ),
+        "m": ast.parse(
+            "from . import errors\n"
+            "def f(x):\n"
+            "    if x:\n        raise Raised()\n"
+            "    if x > 1:\n        raise errors.Raised\n"
+            "    if x > 2:\n        raise ValueError()\n"
+            "    try:\n        raise Raised(f'{x}')\n"
+            "    except Raised as exc:\n        raise IsoactError('again') from exc\n"
+        ),
+    }
+    assert silent_raises(modules) == ["m:4", "m:6"]
 
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

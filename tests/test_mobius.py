@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from isoact import mobius as mo
-from isoact.errors import IllConditionedPhi
+from isoact.errors import ConstraintViolation
 from isoact.groups import SuMatrix, su_boost, su_from_params, su_random
 
 from builders import (
@@ -544,5 +544,5 @@ def test_gns_gram_positive_and_reproduces_distances():
 
 
 def test_gns_vectors_rejects_non_gram():
-    with pytest.raises(IllConditionedPhi):
+    with pytest.raises(ConstraintViolation, match="negative beyond tolerance"):
         mo.gns_vectors(np.array([[0.0, 1.0], [1.0, 0.0]]))

@@ -573,6 +573,38 @@ class TestModuleCommands:
             (("cocycle", "bgroup", "--trials", "1", "--tol", "nan"), "--tol"),
             (("cocycle", "bgroup", "--trials", "1", "--tol", "-1"), "--tol"),
             (("cocycle", "bgroup", "--trials", "1", "--tol", "inf"), "--tol"),
+            # JSON floats are not exact rationals
+            (
+                ("tree", "latdist", "--p", "2", "--m1", "[[1,0],[0,1]]", "--m2", "[[0.5,0],[0,1]]"),
+                "--m2: expected an integer or a 'p/q' fraction, got 0.5",
+            ),
+            (
+                ("rtree", "metric", "--track", "theta", "--points", "[[0, 0.5]]"),
+                "--points: expected an integer or a 'p/q' fraction, got 0.5",
+            ),
+            (
+                (
+                    "cocycle",
+                    "lattice",
+                    "--first",
+                    '[[0.5,[["1","0"]]]]',
+                    "--second",
+                    '[[1e-1,[["0","1"]]]]',
+                ),
+                "--first: expected an integer or a 'p/q' fraction, got 0.5",
+            ),
+            # a defect that is not finite is refused, NaN and inf - inf alike
+            (
+                ("mobius", "length", "--g", '{"a":[NaN,0],"b":[0,0]}'),
+                "--g: |a|^2 - |b|^2 - 1 = nan",
+            ),
+            (
+                ("mobius", "length", "--g", '{"a":[Infinity,0],"b":[Infinity,0]}'),
+                "--g: |a|^2 - |b|^2 - 1 = nan",
+            ),
+            (("mobius", "length", "--g", '{"a":[2,0],"b":[0,0]}'), "--g: |a|^2 - |b|^2 = 4 != 1"),
+            (("mobius", "gram", "--g1", '{"a":[2,0],"b":[0,0]}', *DISC_PAIR[2:]), "--g1: |a|^2"),
+            (("mobius", "cocycle", *DISC_PAIR[:3], '{"a":["x","0"],"b":[0,0]}'), "--g2: expected"),
         ],
     )
     def test_bad_probe_argument_is_one_error_line(self, args, key):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from isoact import suites, traintrack
-from isoact.errors import ConstraintViolation, InvalidCoordinate, PartitionOverflow
+from isoact.errors import ConstraintViolation
 from isoact.report import SuiteConfig
 from isoact.traintrack import (
     CORPUS,
@@ -315,15 +315,15 @@ class TestQuotientMetric:
 
     def test_overflow_guard(self, monkeypatch):
         monkeypatch.setattr(traintrack, "CLOSURE_CAP", 3)
-        with pytest.raises(PartitionOverflow, match="exceeded 3 points"):
+        with pytest.raises(ConstraintViolation, match="exceeded 3 points"):
             TrackMetric(theta_track(), [(0, Fraction(1, 7))])
 
     def test_query_points_validated(self):
         track = theta_track()
-        with pytest.raises(InvalidCoordinate):
+        with pytest.raises(ConstraintViolation, match=r"coordinate 9 outside \[0, 4\] on edge 0"):
             TrackMetric(track, [(0, Fraction(9))])
         metric = TrackMetric(track, [(0, Fraction(1))])
-        with pytest.raises(InvalidCoordinate):
+        with pytest.raises(ConstraintViolation, match="query points must be supplied"):
             metric.distance((0, Fraction(1)), (0, Fraction(1, 3)))
 
 
@@ -380,7 +380,7 @@ class TestGridMetric:
         pair = ((0, Fraction(0)), (1, Fraction(1)))
         tracemalloc.start()
         try:
-            with pytest.raises(PartitionOverflow, match="240003 nodes"):
+            with pytest.raises(ConstraintViolation, match="240003 nodes"):
                 grid_metric(track, [pair], step=Fraction(1, 20000))
             _, peak = tracemalloc.get_traced_memory()
         finally:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from isoact.errors import ConstraintViolation, SingularLattice, Unresolvable, VertexNotFound
+from isoact.errors import ConstraintViolation
 from isoact.groups import free_reduce
 from isoact.treeball import (
     MAX_BALL_VERTICES,
@@ -72,7 +72,7 @@ class TestBallCombinatorics:
         assert not ball.contains((2, 2))  # deeper digits stop at n-1
         assert not ball.contains((3,))
         assert not ball.contains((0, 0, 0))
-        with pytest.raises(VertexNotFound):
+        with pytest.raises(ConstraintViolation, match=r"address \(9,\) is not in the ball"):
             ball.require((9,))
 
     def test_bad_parameters(self):
@@ -116,7 +116,7 @@ class TestBoundaryMetric:
 
     def test_prefix_pair_unresolvable(self):
         ball = TreeBall(2, 3)
-        with pytest.raises(Unresolvable):
+        with pytest.raises(ConstraintViolation, match="agree on all available digits"):
             abs_metric(ball, (0, 1), (0, 1, 1))
 
 
@@ -204,7 +204,7 @@ class LatticeBall:
         for addr, rep in self.reps.items():
             if lattice_distance(m, rep, self.p) == 0:
                 return addr
-        raise VertexNotFound("lattice class lies outside this window")
+        raise ConstraintViolation("lattice class lies outside this window")
 
 
 def matrix_automorphism(g, lattice_ball):
@@ -215,7 +215,7 @@ def matrix_automorphism(g, lattice_ball):
     for addr, rep in lattice_ball.reps.items():
         try:
             mapping[addr] = lattice_ball.address_of(mat_mul(g, rep))
-        except VertexNotFound:
+        except ConstraintViolation:
             continue
     return TreeAutomorphism(lattice_ball.ball, mapping)
 
@@ -253,7 +253,7 @@ class TestLatticeClasses:
                     assert lattice_distance(steps[i], steps[j], p) > 0
 
     def test_singular_rejected(self):
-        with pytest.raises(SingularLattice):
+        with pytest.raises(ConstraintViolation, match="second matrix is singular"):
             lattice_distance(((1, 0), (0, 1)), ((1, 1), (1, 1)), 2)
 
     def test_window_matches_tree_ball(self):
@@ -273,7 +273,7 @@ class TestLatticeClasses:
         m = ((Fraction(4), 0), (0, 1))
         addr = win.address_of(m)
         assert lattice_distance(win.reps[addr], m, 2) == 0
-        with pytest.raises(VertexNotFound):
+        with pytest.raises(ConstraintViolation, match="lattice class lies outside this window"):
             win.address_of(((Fraction(1, 16), 0), (0, 1)))
 
 
@@ -362,7 +362,7 @@ class TestAutomorphismWindows:
         # ray covered only up to depth 2 inside a radius-3 window: with the
         # image escaping, fewer than STABLE_STEPS = 3 offsets are available
         short = word_to_address(free_reduce((-2, 1, 1), 2))
-        with pytest.raises(Unresolvable, match="only 2 ray vertices are covered; at least 3"):
+        with pytest.raises(ConstraintViolation, match="only 2 ray vertices are covered; at least 3"):
             boundary_derivative(auto, short)
 
     def test_matrix_translation_derivative(self):
