@@ -13,13 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import cocycles as co
 from . import mobius as mo
 from .errors import ConfigError, ConstraintViolation
+from .exact import parse_fraction
 from .fock import (
     MAX_DEGREE,
     MAX_DIMENSION,
@@ -128,8 +129,11 @@ class Param:
         if isinstance(value, bool) or not isinstance(value, _ACCEPTS[self.kind]):
             raise ValueError
         try:
-            value = self.kind(value)
-        except (OverflowError, ZeroDivisionError):
+            if self.kind is Fraction and not isinstance(value, Fraction):
+                value = parse_fraction(value)  # the same reader as every probe rational
+            else:
+                value = self.kind(value)
+        except (OverflowError, ConstraintViolation):
             raise ValueError from None
         if not low <= value <= high or (self.holds is not None and not self.holds(value)):
             raise ValueError
@@ -321,55 +325,83 @@ def _suite_cocycle_law(rc: ResolvedConfig) -> List[CheckRow]:
 # ---------------------------------------------------------------------------
 
 
-def _conjugate_lengths(g: FreeWord, radius: int) -> List[int]:
-    """``|x^-1 g x|`` for every reduced word ``x`` with ``|x| <= radius``.
+WINDOW_BATCH = 1 << 14  # window words walked at once: bounds the walk's memory
 
-    A depth-first walk over the trie of ``x``, one entry per window word.
-    Appending a letter ``a`` to ``x`` turns ``h = x^-1 g x`` into
-    ``a^-1 h a``: the empty word stays empty, and otherwise each end of
-    ``h`` loses its letter when it cancels against ``a`` and gains one
-    when it does not.  So a length needs only the end letters of ``h``,
-    and ``h`` itself is carried only to prefixes that still have children.
-    This is brute force over the window, independent of cyclic reduction.
+
+def _conjugate_lengths(words: Sequence[FreeWord], radius: int) -> np.ndarray:
+    """``|x^-1 g x|`` for each word ``g`` and every reduced ``x`` with ``|x| <= radius``.
+
+    One row per word, one entry per window word.  The words share a rank,
+    and the walk goes down the trie of ``x`` one level at a time, for all
+    nodes of a level and all words at once.  Appending a letter ``a`` to
+    ``x`` turns ``h = x^-1 g x`` into ``a^-1 h a``: the empty word stays
+    empty, and otherwise each end of ``h`` loses its letter when it cancels
+    against ``a`` and gains one when it does not.  A child's length needs
+    only the end letters of ``h``, but after a cancellation the next end
+    letter is one from inside ``h``.  So each node carries ``h`` whole, as
+    ``buf[start:start + size]`` in a fixed-width int8 row with ``g`` placed
+    at offset ``radius``, and levels below ``radius`` copy their parents'
+    rows and prepend or append the new letter, or move an offset where it
+    cancels.  This is brute force over the window, independent of cyclic
+    reduction.
     """
-    alphabet = [k for j in range(1, g.rank + 1) for k in (j, -j)]
-    lengths = [len(g)]
-    # (h, last letter of x, letters x may still grow by)
-    stack = [(g.letters, 0, radius)] if radius > 0 else []
-    while stack:
-        h, last, left = stack.pop()
-        for a in alphabet:
-            if a == -last:
-                continue
-            if not h:
-                lengths.append(0)
-                if left > 1:
-                    stack.append((h, a, left - 1))
-                continue
-            cancel_first = h[0] == a
-            cancel_last = h[-1] == -a
-            lengths.append(len(h) + (-1 if cancel_first else 1) + (-1 if cancel_last else 1))
-            if left > 1:
-                child = h[1:] if cancel_first else (-a,) + h
-                stack.append((child[:-1] if cancel_last else child + (a,), a, left - 1))
-    return lengths
+    rank = words[0].rank
+    alphabet = np.array([k for j in range(1, rank + 1) for k in (j, -j)], dtype=np.int8)
+    follow = np.zeros((2 * rank + 1, 2 * rank - 1), dtype=np.int8)  # row b: letters after b
+    for b in alphabet:
+        follow[b] = alphabet[alphabet != -b]
+    one = np.int8(1)
+    buf = np.zeros((len(words), max(map(len, words)) + 2 * radius), dtype=np.int8)
+    for row, g in zip(buf, words):
+        row[radius : radius + len(g)] = g.letters
+    size = np.array([len(g) for g in words], dtype=np.int16)
+    start = np.full(len(words), radius, dtype=np.int16)
+    a = np.broadcast_to(alphabet, (len(words), len(alphabet)))  # the letters after the root
+    levels = [size]
+    for level in range(1, radius + 1):
+        nodes = np.arange(len(size))
+        # each end of h moves by -1 where it cancels against a, +1 where not, 0 if h is empty
+        grows = (size > 0)[:, None]
+        front = np.where(buf[nodes, start][:, None] == a, -one, one) * grows
+        back = np.where(buf[nodes, start + size - 1][:, None] == -a, -one, one) * grows
+        child_size = size[:, None] + front + back
+        levels.append(child_size)
+        if level == radius:
+            break
+        start = (start[:, None] - front).ravel()
+        size = child_size.ravel()
+        prepend = front.ravel() > 0
+        append = back.ravel() > 0
+        buf = np.repeat(buf, a.shape[1], axis=0)
+        a = a.ravel()
+        nodes = np.arange(len(size))
+        buf[nodes[prepend], start[prepend]] = -a[prepend]
+        buf[nodes[append], (start + size - 1)[append]] = a[append]
+        a = follow[a]
+    return np.concatenate([lengths.reshape(len(words), -1) for lengths in levels], axis=1)
 
 
 def _suite_translation_length(rc: ResolvedConfig) -> List[CheckRow]:
     radius = rc.params["radius"]
     word_length = rc.params["word_length"]
-
-    def trial(k: int) -> CheckRow:
+    words = []
+    for k in range(rc.trials):
         rng = _rng(rc, 0, k)
-        g = random_word(rng, 2, int(rng.integers(1, word_length + 1)))
+        words.append(random_word(rng, 2, int(rng.integers(1, word_length + 1))))
+    # the window holds every reduced word of rank 2 with at most ``radius`` letters
+    per_walk = max(1, WINDOW_BATCH // (1 + 2 * (3**radius - 1)))
+    window_min = []
+    for i in range(0, len(words), per_walk):
+        window_min.extend(_conjugate_lengths(words[i : i + per_walk], radius).min(axis=1).tolist())
+
+    def trial(k: int, g: FreeWord, brute: int) -> CheckRow:
         ell = translation_length(g)
-        brute = min(_conjugate_lengths(g, radius))
         power_defect = max(abs(translation_length(g**j) - j * ell) for j in range(1, 6))
         residual = Fraction(abs(brute - ell) + power_defect)
         inputs = {"seed": rc.seed, "trial": k, "g": list(g.letters), "radius": radius}
         return check_row(f"word-{k:03d}", inputs, ell, residual, ZERO)
 
-    return [trial(k) for k in range(rc.trials)]
+    return [trial(k, g, brute) for k, (g, brute) in enumerate(zip(words, window_min))]
 
 
 # ---------------------------------------------------------------------------

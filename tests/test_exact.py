@@ -19,6 +19,6 @@ class TestFractionCodec:
             assert parse_fraction(str(f)) == f
 
     def test_parse_garbage(self):
-        for value in ["one half", "1/0", "", 1.5, True, None, [1, 2]]:
+        for value in ["one half", "1/0", "", "0.5", "1e-1", "1_0/5_0", 1.5, True, None, [1, 2]]:
             with pytest.raises(ConstraintViolation, match="expected an integer or a 'p/q' fraction"):
                 parse_fraction(value)

@@ -212,6 +212,7 @@ class TestResolution:
             ("traintrack", "step", "0"),
             ("traintrack", "step", "1/0"),
             ("traintrack", "step", "2/3"),
+            ("traintrack", "step", "0.02"),
             ("bergman", "degree", 2.5),
             ("bergman", "max_ratio", True),
             ("fock-mult", "cases", [[1, 15]]),

@@ -1,5 +1,6 @@
 """Cayley-tree geometry: lengths, axes, flows, cocycle identities."""
 
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -17,7 +18,8 @@ from isoact.rtree import (
     translation_length,
     unit_flow,
 )
-from isoact.suites import _conjugate_lengths
+from isoact.report import SuiteConfig, digest_of, format_number
+from isoact.suites import _conjugate_lengths, run_suite
 
 
 def word_distance(u: FreeWord, v: FreeWord) -> int:
@@ -131,40 +133,52 @@ def brute_conjugate_lengths(g: FreeWord, radius: int) -> list:
     ]
 
 
+def suite_words(seed: int, trials: int, word_length: int) -> list:
+    """The words of the translation-length suite, drawn as it draws them."""
+    words = []
+    for k in range(trials):
+        rng = np.random.default_rng([seed, 0, k])
+        words.append(random_word(rng, 2, int(rng.integers(1, word_length + 1))))
+    return words
+
+
 class TestWindowMinimum:
-    """The trie walk behind the translation-length suite's window minimum."""
+    """The batched level walk behind the translation-length suite's window minimum."""
 
     def test_matches_brute_force_window(self):
         rng = np.random.default_rng(35)
         for radius in range(1, 6):
-            for _ in range(200):
-                g = random_word(rng, 2, int(rng.integers(0, 9)))
-                lengths = _conjugate_lengths(g, radius)
-                brute = brute_conjugate_lengths(g, radius)
-                assert Counter(lengths) == Counter(brute)
-                assert min(lengths) == min(brute)
+            for _ in range(4):
+                lengths = rng.integers(0, 9, size=50)
+                words = [FreeWord((), 2)] + [random_word(rng, 2, int(n)) for n in lengths]
+                rows = _conjugate_lengths(words, radius)
+                assert rows.shape[0] == len(words)
+                for g, row in zip(words, rows):
+                    assert Counter(row.tolist()) == Counter(brute_conjugate_lengths(g, radius)), g
 
     def test_empty_word(self):
         for radius in range(1, 6):
-            lengths = _conjugate_lengths(FreeWord((), 2), radius)
-            assert lengths == [0] * (1 + 2 * (3**radius - 1))
+            rows = _conjugate_lengths([FreeWord((), 2), free_reduce([1, 2], 2)], radius)
+            assert rows[0].tolist() == [0] * (1 + 2 * (3**radius - 1))
 
     @pytest.mark.parametrize("radius", [1, 4, 8])
     def test_visits_every_window_word(self, radius):
-        g = free_reduce([1, 2, -1, 2], 2)
-        assert len(_conjugate_lengths(g, radius)) == 1 + 2 * (3**radius - 1)
+        words = [free_reduce([1, 2, -1, 2], 2), FreeWord((), 2), free_reduce([2] * 9, 2)]
+        assert _conjugate_lengths(words, radius).shape == (3, 1 + 2 * (3**radius - 1))
         assert len(_window_words(2, radius)) == 1 + 2 * (3**radius - 1)
 
     def test_rank_three_window(self):
-        g = free_reduce([3, 1, -2, -3], 3)
-        assert Counter(_conjugate_lengths(g, 3)) == Counter(brute_conjugate_lengths(g, 3))
+        words = [free_reduce(w, 3) for w in ([3, 1, -2, -3], [], [2], [1, 3, 3, -1, 2, 2])]
+        for radius in (1, 2, 3):
+            for g, row in zip(words, _conjugate_lengths(words, radius)):
+                assert Counter(row.tolist()) == Counter(brute_conjugate_lengths(g, radius)), g
 
     def test_window_too_small_for_the_core(self):
         # a^4 b a^-4 has translation length 1; radius 2 only strips two a's
         g = free_reduce([1, 1, 1, 1, 2, -1, -1, -1, -1], 2)
         assert translation_length(g) == 1
-        assert min(_conjugate_lengths(g, 2)) == 5
-        assert min(_conjugate_lengths(g, 4)) == 1
+        assert _conjugate_lengths([g], 2).min() == 5
+        assert _conjugate_lengths([g], 4).min() == 1
 
     def test_independent_of_products_and_cyclic_reduction(self, monkeypatch):
         def forbidden(*args):
@@ -174,7 +188,39 @@ class TestWindowMinimum:
         monkeypatch.setattr(FreeWord, "cyclic_reduce", forbidden)
         monkeypatch.setattr("isoact.suites.translation_length", forbidden)
         g = free_reduce([2, 1, 1, -2], 2)
-        assert min(_conjugate_lengths(g, 3)) == 2
+        assert _conjugate_lengths([g], 3).min() == 2
+
+    def test_suite_rows_take_each_trials_own_minimum(self):
+        # 250 trials at radius 4 walk in three batches of at most 101 words
+        cfg = SuiteConfig.make("translation-length", seed=3, trials=250, params={"radius": 4})
+        rows = run_suite(cfg).rows
+        for k, g in enumerate(suite_words(3, 250, 6)):
+            inputs = {"seed": 3, "trial": k, "g": list(g.letters), "radius": 4}
+            brute = min(brute_conjugate_lengths(g, 4))
+            assert rows[k].inputs == digest_of(inputs)
+            assert rows[k].residual == format_number(Fraction(abs(brute - translation_length(g))))
+
+    def test_more_trials_keep_earlier_rows(self):
+        def rows(trials):
+            cfg = SuiteConfig.make("translation-length", 5, trials, params={"radius": 4})
+            return run_suite(cfg).rows
+
+        assert rows(250)[:50] == rows(50)
+
+    def test_memory_does_not_grow_with_trials(self):
+        def suite(trials):
+            cfg = SuiteConfig.make("translation-length", trials=trials, params={"radius": 10})
+            tracemalloc.start()
+            try:
+                run_suite(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        suite(1)  # allocations made once per process stay out of the comparison
+        one, three = suite(1), suite(3)
+        assert abs(three - one) <= 0.1 * one, (one, three)
+        assert max(one, three) < 4_000_000
 
 
 def axis_point(g: FreeWord, x: FreeWord = None) -> FreeWord:
