@@ -78,6 +78,12 @@ def tau_terms(
     ``TAU_BRANCH_MARGIN`` of distance one from the identity, where an
     eigenvalue could reach the branch cut of the principal logarithm.
     Later terms of a failed trial are not computed.
+
+    The Frobenius norm bounds the spectral norm from above, so the
+    spectral distance (an SVD) is computed only for the defects whose
+    Frobenius distance cannot clear the guard.  That screen sits a
+    further ``TAU_BRANCH_MARGIN`` lower, which absorbs the rounding of
+    either norm, so the mask is the one an SVD on every defect gives.
     """
     n = mats.shape[-1] // 2
     phases = _phase(mats, n)
@@ -91,8 +97,11 @@ def tau_terms(
         live = np.flatnonzero(live & ok)
         p1, p2, p12 = phases[left, live], phases[right, live], phases[prod, live]
         defect = np.linalg.solve(p1, p12) @ np.linalg.inv(p2)
-        distance = np.linalg.norm(defect - np.eye(n), 2, axis=(-2, -1))
-        near_cut = distance >= 1.0 - TAU_BRANCH_MARGIN
+        offset = defect - np.eye(n)
+        near_cut = np.linalg.norm(offset, "fro", axis=(-2, -1)) >= 1.0 - 2 * TAU_BRANCH_MARGIN
+        near_cut[near_cut] = (
+            np.linalg.norm(offset[near_cut], 2, axis=(-2, -1)) >= 1.0 - TAU_BRANCH_MARGIN
+        )
         ok[live[near_cut]] = False
         eigenvalues = np.linalg.eigvals(defect[~near_cut])
         value[live[~near_cut]] = np.sum(np.angle(eigenvalues), axis=-1)

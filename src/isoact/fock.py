@@ -22,11 +22,19 @@ contravariant function actions used elsewhere in this package.
 Everything here works with dense matrices on the monomials of total
 degree at most a cap, so dimensions and degrees are capped hard; the
 point is verifying identities at desk scale, not simulating large systems.
+What depends only on the dimension and the cap (the multi-indices, the
+factorial weights, and for each monomial and axis the index of the
+monomial one degree lower) is built once per pair and cached as index
+arrays and vectors, never as a dense matrix.  ``exp_matrix`` then fills
+the columns of one total degree at a time from those of the degree
+below, each a linear form applied through the lowered indices.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as iter_product
 from typing import List, Tuple
 
@@ -80,6 +88,64 @@ def require_unitary(mat: np.ndarray) -> None:
         )
 
 
+@dataclass(frozen=True)
+class _Tables:
+    """What ``exp_matrix`` needs of a ``(dimension, degree)`` pair beyond
+    ``T`` and ``gamma``: index arrays and length-``size`` vectors only.
+
+    ``exponents[k]`` is the multi-index of basis position ``k``, and
+    ``inv_factorial``/``root`` hold ``1/beta!`` and ``sqrt(beta!)``.
+    ``lowered[j, k]`` is the position of ``beta_k - e_j``, or ``size``
+    (a zero row) where ``beta_k`` has no ``z_j``.  ``levels`` holds, for
+    each degree 1..degree, the positions of its multi-indices, the axis
+    ``i`` of the first nonzero exponent of each, and the position of its
+    parent ``alpha - e_i``.  ``keep`` lists the positions of total degree
+    at most half the truncation.
+    """
+
+    exponents: np.ndarray
+    inv_factorial: np.ndarray
+    root: np.ndarray
+    lowered: np.ndarray
+    levels: Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    keep: np.ndarray
+
+
+def tables(dimension: int, degree: int) -> _Tables:
+    """The cached tables of a pair that passes :func:`check_scale`; a
+    refused pair raises before anything is cached."""
+    check_scale(dimension, degree)
+    return _cached_tables(dimension, degree)
+
+
+# typed, so that a float degree fails in ``multi_indices`` as it would
+# uncached instead of borrowing the tables of the equal int
+@lru_cache(maxsize=MAX_DIMENSION * MAX_DEGREE, typed=True)
+def _cached_tables(dimension: int, degree: int) -> _Tables:
+    indices = multi_indices(dimension, degree)
+    position = {idx: i for i, idx in enumerate(indices)}
+    size = len(indices)
+    exponents = np.array(indices, dtype=np.intp).reshape(size, dimension)
+    weights = np.array([factorial_weight(idx) for idx in indices])
+    lowered = np.full((dimension, size), size, dtype=np.intp)
+    for k, beta in enumerate(indices):
+        for j in range(dimension):
+            if beta[j]:
+                lowered[j, k] = position[beta[:j] + (beta[j] - 1,) + beta[j + 1 :]]
+    totals = exponents.sum(axis=1)
+    levels = []
+    for level in range(1, degree + 1):
+        cols = np.flatnonzero(totals == level)
+        axes = np.argmax(exponents[cols] > 0, axis=1)
+        levels.append((cols, axes, lowered[axes, cols]))
+    inv_factorial, root = 1.0 / weights, np.sqrt(weights)
+    keep = np.flatnonzero(2 * totals <= degree)
+    # every caller shares these arrays
+    for array in (exponents, inv_factorial, root, lowered, keep, *sum(levels, ())):
+        array.flags.writeable = False
+    return _Tables(exponents, inv_factorial, root, lowered, tuple(levels), keep)
+
+
 def exp_matrix(t: np.ndarray, gamma: np.ndarray, degree: int) -> np.ndarray:
     """Matrix of ``Exp(T, gamma)`` in the orthonormal monomial basis.
 
@@ -91,43 +157,34 @@ def exp_matrix(t: np.ndarray, gamma: np.ndarray, degree: int) -> np.ndarray:
     t = np.asarray(t, dtype=complex)
     gamma = np.asarray(gamma, dtype=complex).reshape(-1)
     dimension = t.shape[0]
-    check_scale(dimension, degree)
+    tab = tables(dimension, degree)
     if t.shape != (dimension, dimension) or gamma.shape != (dimension,):
         raise ConstraintViolation(
             f"shape mismatch: T {t.shape}, gamma {gamma.shape}"
         )
     require_unitary(t)
 
-    indices = multi_indices(dimension, degree)
-    position = {idx: i for i, idx in enumerate(indices)}
-    size = len(indices)
-    # truncated multiplication by z_j; it only raises degree, so products
-    # of these matrices are exact on every retained row
-    times_z = np.zeros((dimension, size, size))
-    for col, beta in enumerate(indices):
-        for j in range(dimension):
-            row = position.get(beta[:j] + (beta[j] + 1,) + beta[j + 1 :])
-            if row is not None:
-                times_z[j, row, col] = 1.0
-    # multiplication by the linear forms (T z + gamma)_i
-    forms = gamma[:, None, None] * np.eye(size) + np.einsum("ij,jab->iab", t, times_z)
-
+    size = len(tab.root)
+    # coefficient columns in the monomial basis, with a zero row at
+    # position ``size`` for the lowered indices that leave the basis
+    mono = np.zeros((size + 1, size), dtype=complex)
     # exp(-<z, T^{-1} gamma>) = exp(sum_k w_k z_k) as a coefficient column
     w = -(t.conj().T @ gamma).conj()
-    mono = np.empty((size, size), dtype=complex)
-    mono[:, 0] = [
-        math.prod(w[k] ** b / math.factorial(b) for k, b in enumerate(beta)) for beta in indices
-    ]
-    # the forms commute, so column alpha is (T z + gamma)^alpha times the
-    # series, one form applied to the column of alpha - e_i
-    for col, alpha in enumerate(indices[1:], start=1):
-        i = next(k for k, a in enumerate(alpha) if a)
-        parent = position[alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]]
-        mono[:, col] = forms[i] @ mono[:, parent]
+    mono[:size, 0] = tab.inv_factorial * np.prod(w ** tab.exponents, axis=1)
+    # the forms (T z + gamma)_i commute, so column alpha is (T z + gamma)^alpha
+    # times the series: form i applied to the column of alpha - e_i.  Form i
+    # sends x to gamma_i x + sum_j T_ij (x lowered along j), truncated at the
+    # top degree, so one step fills a whole degree level
+    for cols, axes, parents in tab.levels:
+        x = mono[:, parents]
+        out = gamma[axes] * x[:size]
+        for j in range(dimension):
+            out += t[axes, j] * x[tab.lowered[j]]
+        mono[:size, cols] = out
 
     scalar = math.exp(-0.5 * float(np.sum(np.abs(gamma) ** 2)))
-    root = np.sqrt([factorial_weight(idx) for idx in indices])
-    return scalar * mono * (root[:, None] / root[None, :])
+    root = tab.root
+    return scalar * mono[:size] * (root[:, None] / root[None, :])
 
 
 def composition_phase(t2: np.ndarray, gamma1: np.ndarray, gamma2: np.ndarray) -> complex:
@@ -148,21 +205,19 @@ def exp_compose_residual(
 
     Compares ``Exp(T1, g1) Exp(T2, g2)`` with the phase times
     ``Exp(T2 T1, T2 g1 + g2)``, restricted to rows and columns of total
-    degree at most half the truncation, where both sides are accurate.
+    degree at most half the truncation, where both sides are accurate;
+    only that block of the product is formed.
     """
     t1 = np.asarray(t1, dtype=complex)
     t2 = np.asarray(t2, dtype=complex)
     gamma1 = np.asarray(gamma1, dtype=complex).reshape(-1)
     gamma2 = np.asarray(gamma2, dtype=complex).reshape(-1)
-    dimension = t1.shape[0]
-    indices = multi_indices(dimension, degree)
-    keep = [i for i, idx in enumerate(indices) if 2 * sum(idx) <= degree]
+    keep = tables(t1.shape[0], degree).keep
 
-    product = exp_matrix(t1, gamma1, degree) @ exp_matrix(t2, gamma2, degree)
+    product = exp_matrix(t1, gamma1, degree)[keep] @ exp_matrix(t2, gamma2, degree)[:, keep]
     phase = composition_phase(t2, gamma1, gamma2)
     direct = phase * exp_matrix(t2 @ t1, t2 @ gamma1 + gamma2, degree)
-    block = np.ix_(keep, keep)
-    return float(np.linalg.norm(product[block] - direct[block]))
+    return float(np.linalg.norm(product - direct[np.ix_(keep, keep)]))
 
 
 def haar_unitary(rng: np.random.Generator, dimension: int) -> np.ndarray:

@@ -127,10 +127,17 @@ class SuiteConfig:
     def __post_init__(self):
         if not isinstance(self.suite, str):
             raise ConfigError(f"suite must be a suite name, got {self.suite!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        # bool subclasses int, and JSON true is no seed or trial count
+        if (
+            isinstance(self.seed, bool)
+            or not isinstance(self.seed, int)
+            or not 0 <= self.seed < 2**64
+        ):
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         if self.trials is not None and (
-            not isinstance(self.trials, int) or not 1 <= self.trials <= MAX_TRIALS
+            isinstance(self.trials, bool)
+            or not isinstance(self.trials, int)
+            or not 1 <= self.trials <= MAX_TRIALS
         ):
             raise ConfigError(f"trials must be an integer in 1..{MAX_TRIALS}, got {self.trials!r}")
         if self.tolerance is not None and not (

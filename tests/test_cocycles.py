@@ -280,6 +280,89 @@ def test_tau_residuals_match_scalar_oracle_sp4():
         assert float(residuals[k]).hex() == tau_cocycle_residual(*triple).hex()
 
 
+def svd_tau_terms(mats, terms):
+    """``tau_terms`` with the spectral distance of every defect from an SVD:
+    the oracle of the kernel's Frobenius screen."""
+    n = mats.shape[-1] // 2
+    phases = co._phase(mats, n)
+    collapsed = np.linalg.svd(phases, compute_uv=False)[..., -1] < co.PHI_SINGULAR_TOL
+    identity = np.all(mats == np.eye(2 * n), axis=(-2, -1))
+    ok = np.ones(mats.shape[1], dtype=bool)
+    values = np.zeros((len(terms), mats.shape[1]))
+    for value, (left, right, prod) in zip(values, terms):
+        live = ok & ~(identity[left] | identity[right])
+        ok &= ~(live & (collapsed[left] | collapsed[right] | collapsed[prod]))
+        live = np.flatnonzero(live & ok)
+        p1, p2, p12 = phases[left, live], phases[right, live], phases[prod, live]
+        defect = np.linalg.solve(p1, p12) @ np.linalg.inv(p2)
+        distance = np.linalg.norm(defect - np.eye(n), 2, axis=(-2, -1))
+        near_cut = distance >= 1.0 - co.TAU_BRANCH_MARGIN
+        ok[live[near_cut]] = False
+        eigenvalues = np.linalg.eigvals(defect[~near_cut])
+        value[live[~near_cut]] = np.sum(np.angle(eigenvalues), axis=-1)
+    values[:, ~ok] = np.nan
+    return values, ok
+
+
+def term_distances(mats, terms):
+    """Frobenius and spectral distance from the identity of every term's defect."""
+    n = mats.shape[-1] // 2
+    phases = co._phase(mats, n)
+    fro, spectral = [], []
+    for left, right, prod in terms:
+        defect = np.linalg.solve(phases[left], phases[prod]) @ np.linalg.inv(phases[right])
+        fro.append(np.linalg.norm(defect - np.eye(n), "fro", axis=(-2, -1)))
+        spectral.append(np.linalg.norm(defect - np.eye(n), 2, axis=(-2, -1)))
+    return np.array(fro), np.array(spectral)
+
+
+@pytest.mark.parametrize("scale", [0.4, 1.0, 2.0])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tau_terms_screen_matches_svd_on_every_term(n, scale):
+    rng = np.random.default_rng([67, n, int(10 * scale)])
+    g1, g2, g3 = sp_exp(rng.normal(0.0, scale, size=(3, 200, 2 * n, 2 * n)), n)
+    mats = np.stack([g1, g2, g3, g1 @ g2, g2 @ g3, g1 @ g2 @ g3, g1 @ (g2 @ g3)])
+    terms = ((0, 1, 3), (3, 2, 5), (1, 2, 4), (0, 4, 6))
+    values, ok = co.tau_terms(mats, terms)
+    expected_values, expected_ok = svd_tau_terms(mats, terms)
+    assert np.array_equal(ok, expected_ok)
+    assert values.tobytes() == expected_values.tobytes()
+    if n > 1 and scale >= 1.0:
+        # some defects here are ones the Frobenius norm cannot clear and
+        # the SVD does
+        fro, spectral = term_distances(mats, terms)
+        edge = 1.0 - co.TAU_BRANCH_MARGIN
+        assert np.any((fro >= edge) & (spectral < edge))
+
+
+def test_tau_terms_screen_on_planted_defects():
+    # For block-diagonal boosts g = diag(e^s, e^-s) and h = diag(e^t, e^-t)
+    # in each Sp(2) block, the defect is diagonal with entries
+    # cosh(s + t) / (cosh s cosh t) = 1 + tanh s tanh t, so its distances
+    # from the identity are known: the largest |tanh s tanh t| (spectral)
+    # and their root sum of squares (Frobenius).
+    def boost4(s1, s2):
+        return np.diag([math.exp(s1), math.exp(s2), math.exp(-s1), math.exp(-s2)])
+
+    cases = [
+        ((1.5, 1.5), (1.5, -1.5)),  # Frobenius 1.16 cannot clear it, spectral 0.82 does
+        ((0.5, 0.3), (0.5, -0.3)),  # Frobenius 0.23 clears it without an SVD
+        ((12.0, 0.5), (-12.0, 0.5)),  # spectral 1 - 1.5e-10 trips the guard
+    ]
+    g = np.array([boost4(*s) for s, _ in cases])
+    h = np.array([boost4(*t) for _, t in cases])
+    mats = np.stack([g, h, g @ h])
+    fro, spectral = term_distances(mats, [(0, 1, 2)])
+    edge = 1.0 - co.TAU_BRANCH_MARGIN
+    assert fro[0, 0] >= edge > spectral[0, 0]
+    assert fro[0, 1] < edge
+    assert spectral[0, 2] >= edge
+    values, ok = co.tau_terms(mats, [(0, 1, 2)])
+    expected_values, expected_ok = svd_tau_terms(mats, [(0, 1, 2)])
+    assert list(ok) == list(expected_ok) == [True, True, False]
+    assert values.tobytes() == expected_values.tobytes()
+
+
 def test_tau_residuals_reject_mismatched_stacks():
     with pytest.raises(ConstraintViolation, match="three stacks of the same shape"):
         co.tau_cocycle_residuals(np.zeros((3, 2, 2)), np.zeros((3, 2, 2)), np.zeros((2, 2, 2)))

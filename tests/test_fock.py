@@ -13,6 +13,76 @@ from isoact import fock as fo
 from isoact.errors import ConstraintViolation
 
 
+def column_exp_matrix(t, gamma, degree):
+    """``Exp(T, gamma)`` one column at a time, each a mat-vec with a dense
+    matrix of the form ``(T z + gamma)_i``: the oracle of ``exp_matrix``."""
+    t = np.asarray(t, dtype=complex)
+    gamma = np.asarray(gamma, dtype=complex).reshape(-1)
+    dimension = t.shape[0]
+    indices = fo.multi_indices(dimension, degree)
+    position = {idx: i for i, idx in enumerate(indices)}
+    size = len(indices)
+    # truncated multiplication by z_j
+    times_z = np.zeros((dimension, size, size))
+    for col, beta in enumerate(indices):
+        for j in range(dimension):
+            row = position.get(beta[:j] + (beta[j] + 1,) + beta[j + 1 :])
+            if row is not None:
+                times_z[j, row, col] = 1.0
+    forms = gamma[:, None, None] * np.eye(size) + np.einsum("ij,jab->iab", t, times_z)
+    w = -(t.conj().T @ gamma).conj()
+    mono = np.empty((size, size), dtype=complex)
+    mono[:, 0] = [
+        math.prod(w[k] ** b / math.factorial(b) for k, b in enumerate(beta)) for beta in indices
+    ]
+    for col, alpha in enumerate(indices[1:], start=1):
+        i = next(k for k, a in enumerate(alpha) if a)
+        parent = position[alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]]
+        mono[:, col] = forms[i] @ mono[:, parent]
+    scalar = math.exp(-0.5 * float(np.sum(np.abs(gamma) ** 2)))
+    root = np.sqrt([fo.factorial_weight(idx) for idx in indices])
+    return scalar * mono * (root[:, None] / root[None, :])
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+@pytest.mark.parametrize("degree", [1, 2, 6, 10, 12])
+def test_exp_matrix_matches_column_oracle(dimension, degree):
+    rng = np.random.default_rng([23, dimension, degree])
+    for scale in (0.3, 1.0):
+        t = fo.haar_unitary(rng, dimension)
+        gamma = fo.random_translation(rng, dimension, scale)
+        expected = column_exp_matrix(t, gamma, degree)
+        got = fo.exp_matrix(t, gamma, degree)
+        assert got.shape == expected.shape
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("dimension, degree", [(0, 4), (4, 4), (2, 0), (2, 15), (3, -1)])
+def test_refused_scale_is_not_cached(dimension, degree):
+    fo._cached_tables.cache_clear()
+    with pytest.raises(ConstraintViolation, match="outside supported range"):
+        fo.tables(dimension, degree)
+    with pytest.raises(ConstraintViolation, match="outside supported range"):
+        fo.exp_compose_residual(
+            np.eye(dimension), np.zeros(dimension), np.eye(dimension), np.zeros(dimension), degree
+        )
+    assert fo._cached_tables.cache_info().currsize == 0
+
+
+def test_tables_are_shared_and_read_only():
+    tab = fo.tables(2, 10)
+    assert fo.tables(2, 10) is tab
+    assert fo._cached_tables.cache_info().maxsize == fo.MAX_DIMENSION * fo.MAX_DEGREE
+    indices = fo.multi_indices(2, 10)
+    assert [tuple(row) for row in tab.exponents] == indices
+    assert list(tab.keep) == [i for i, idx in enumerate(indices) if 2 * sum(idx) <= 10]
+    with pytest.raises(ValueError):
+        tab.keep[0] = 1
+    # a float degree equal to a cached int does not reach its tables
+    with pytest.raises(TypeError):
+        fo.tables(2, 10.0)
+
+
 def test_multi_index_counts():
     # total degree <= N in d variables: binomial(N + d, d)
     assert len(fo.multi_indices(1, 12)) == 13

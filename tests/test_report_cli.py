@@ -380,6 +380,24 @@ class TestRunCommand:
         path.write_text(text)
         assert_one_error_line(self.invoke("run", "--config", str(path)), key)
 
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            ("seed", "seed must be an unsigned 64-bit integer, got True"),
+            ("trials", "trials must be an integer in 1..10000, got True"),
+            ("tolerance", "tolerance must be a positive finite number, got True"),
+        ],
+    )
+    def test_bool_config_value_rejected(self, tmp_path, key, message):
+        # bool subclasses int, so JSON true must be refused by name, not read as 1
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"suite": "triangle", key: True}))
+        result = self.invoke("run", "--config", str(path))
+        assert_one_error_line(result, key)
+        assert message in result.output
+        with pytest.raises(ConfigError, match=message):
+            SuiteConfig.make("triangle", **{key: True})
+
     def test_infinite_tolerance_rejected(self):
         result = self.invoke("run", "--suite", "bergman", "--trials", "1", "--tol", "inf")
         assert_one_error_line(result, "tolerance")
