@@ -89,11 +89,15 @@ def emit(data) -> None:
     click.echo(json.dumps(data, sort_keys=True, indent=2))
 
 
-def parse_json(text: str, what: str):
+def parse_json(text: str | bytes, what: str):
+    """The JSON value of ``text``, a string or the UTF-8 bytes of a file;
+    malformed, non-UTF-8 or too deeply nested input is one ``ConfigError``."""
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed JSON for {what}: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"JSON for {what} is nested too deeply") from exc
 
 
 def parse_option(text: str, what: str, decode):
@@ -148,11 +152,12 @@ def load_track(source: str):
     if source.lstrip().startswith("{"):
         return track_from_json(parse_json(source, "train track"))
     try:
-        with open(source, "r", encoding="utf-8") as handle:
-            return track_from_json(json.load(handle))
+        with open(source, "rb") as handle:
+            text = handle.read()
     except OSError as exc:
         names = ", ".join(sorted(CORPUS))
         raise ConfigError(f"no such track {source!r}; corpus names: {names} ({exc})") from exc
+    return track_from_json(parse_json(text, f"train track {source}"))
 
 
 @click.group()
@@ -199,7 +204,7 @@ def run_command(ctx, suite, seed, trials, tol, out, fmt, config_path, list_suite
         return
     file_cfg = {}
     if config_path is not None:
-        with open(config_path, "r", encoding="utf-8", errors="replace") as handle:
+        with open(config_path, "rb") as handle:
             file_cfg = parse_json(handle.read(), f"--config {config_path}")
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"--config {config_path} must hold a JSON object, got {file_cfg!r}")

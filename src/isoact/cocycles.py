@@ -44,6 +44,7 @@ from .groups import FiniteMeasure, FreeWord, SuMatrix
 # ---------------------------------------------------------------------------
 
 PHI_SINGULAR_TOL = 1e-6
+PHI_SCREEN_ROUNDING = 64 * np.finfo(float).eps
 TAU_BRANCH_MARGIN = 1e-9
 
 
@@ -79,15 +80,35 @@ def tau_terms(
     eigenvalue could reach the branch cut of the principal logarithm.
     Later terms of a failed trial are not computed.
 
-    The Frobenius norm bounds the spectral norm from above, so the
-    spectral distance (an SVD) is computed only for the defects whose
-    Frobenius distance cannot clear the guard.  That screen sits a
-    further ``TAU_BRANCH_MARGIN`` lower, which absorbs the rounding of
-    either norm, so the mask is the one an SVD on every defect gives.
+    Both guards run an SVD only where a cheaper bound cannot clear them,
+    so the mask is the one an SVD on every matrix gives:
+
+    * The smallest singular value of an n x n phase factor is at least
+      ``|det Phi| / ||Phi||_F^(n-1)``: the determinant is the product of
+      the singular values, and each is at most the Frobenius norm.  The
+      screen clears a factor whose bound is at least twice the floor
+      plus ``PHI_SCREEN_ROUNDING * n * ||Phi||_F``.  The factor two
+      absorbs the relative rounding of the determinant and the norm; the
+      added term absorbs the absolute error, a small multiple of
+      ``n u ||Phi||`` with u the unit roundoff, that the LU behind the
+      determinant and the SVD each make.  A symplectic ``Phi`` has
+      ``|det Phi| >= 1``, so it clears the screen while
+      ``||Phi||_F^(n-1)`` stays below about ``5e5``; only the factors
+      the screen cannot clear go to the SVD.
+    * The Frobenius norm bounds the spectral norm from above, so the
+      spectral distance of a defect from the identity is computed only
+      where its Frobenius distance cannot clear the guard.  That screen
+      sits a further ``TAU_BRANCH_MARGIN`` lower, which absorbs the
+      rounding of either norm.
     """
     n = mats.shape[-1] // 2
     phases = _phase(mats, n)
-    collapsed = np.linalg.svd(phases, compute_uv=False)[..., -1] < PHI_SINGULAR_TOL
+    frobenius = np.linalg.norm(phases, "fro", axis=(-2, -1))
+    floor = (2.0 * PHI_SINGULAR_TOL + PHI_SCREEN_ROUNDING * n * frobenius) * frobenius ** (n - 1)
+    collapsed = ~(np.isfinite(frobenius) & (np.abs(np.linalg.det(phases)) >= floor))
+    collapsed[collapsed] = (
+        np.linalg.svd(phases[collapsed], compute_uv=False)[..., -1] < PHI_SINGULAR_TOL
+    )
     identity = np.all(mats == np.eye(2 * n), axis=(-2, -1))
     ok = np.ones(mats.shape[1], dtype=bool)
     values = np.zeros((len(terms), mats.shape[1]))

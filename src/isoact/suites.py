@@ -2,9 +2,10 @@
 
 Each suite draws its own reproducible samples, runs one family of
 identity checks, and returns rows for the report layer.  Randomness is
-seeded per trial as ``default_rng([seed, stream, trial])``, so adding
-trials never changes earlier rows and any failing trial can be rerun in
-isolation.  Exact checks emit rational residuals with tolerance 0;
+seeded per trial as ``default_rng([seed, stream, trial])`` (sp-tau sets
+one ``PCG64`` to the same states, derived a stack of trials at a time), so
+adding trials never changes earlier rows and any failing trial can be rerun
+in isolation.  Exact checks emit rational residuals with tolerance 0;
 floating checks emit measured residuals against the configured
 tolerance.
 """
@@ -175,6 +176,88 @@ class SuiteEntry:
 
 def _rng(rc: ResolvedConfig, stream: int, trial: int) -> np.random.Generator:
     return np.random.default_rng([rc.seed, stream, trial])
+
+
+# numpy's SeedSequence hash and mix constants, and PCG64's 128-bit multiplier
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _uint32_words(value: int) -> List[int]:
+    """``SeedSequence``'s split of a non-negative integer into little-endian 32-bit words."""
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _hasher(const: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
+    """``SeedSequence``'s running hash on uint32 arrays: each call xors in the
+    constant, steps it by ``mult``, multiplies by it and folds the high half down."""
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ (result >> np.uint32(16))
+
+
+def _pcg64_states(seed: int, stream: int, trials: Sequence[int]) -> List[dict]:
+    """The ``PCG64`` state that ``default_rng([seed, stream, k])`` starts
+    from, for every trial ``k`` at once.
+
+    Reproduces two numpy algorithms on uint32 arrays over the trials,
+    whose products wrap as numpy's C code does.  ``SeedSequence`` hashes
+    the entropy words of ``[seed, stream, k]`` into a pool of four words
+    and mixes every pool word into every other, then hashes the pool out
+    into four 64-bit words (``generate_state(4, uint64)``).  A seed below
+    ``2**64`` is at most two words and a stream and a trial one each, so
+    the entropy never overflows the pool, and numpy's step for words past
+    the fourth is left out.
+    ``PCG64``'s seeding step takes the first two output words as the
+    initial state and the last two as the increment, and advances twice.
+    Each returned dict sets a ``PCG64``'s ``state``;
+    ``tests/test_draws.py`` asserts it equals ``default_rng``'s at the
+    extreme seeds, streams and trials.
+    """
+    trial_words = np.asarray(trials, dtype=np.uint32)
+    entropy = [np.full_like(trial_words, w) for w in _uint32_words(seed) + _uint32_words(stream)]
+    entropy.append(trial_words)
+    hashmix = _hasher(_HASH_INIT_A, _HASH_MULT_A)
+    pool = [hashmix(word) for word in entropy + [np.zeros_like(trial_words)] * (4 - len(entropy))]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    hashmix = _hasher(_HASH_INIT_B, _HASH_MULT_B)
+    out = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    seed_hi, seed_lo, inc_hi, inc_lo = ((out[2 * j + 1] << 32 | out[2 * j]).tolist() for j in range(4))
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        states.append(
+            {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+        )
+    return states
 
 
 # lcm(1..7): every sampled rational times this is an integer
@@ -439,22 +522,29 @@ SP_TAU_STACK = 100
 def _suite_sp_tau(rc: ResolvedConfig) -> List[CheckRow]:
     scale = rc.params["scale"]
     attempts = 5
+    bits = np.random.PCG64()
+    normal = np.random.Generator(bits).normal
     rows: List[CheckRow] = []
     for stream, half_dim in ((0, 1), (1, 2)):
         label = f"sp{2 * half_dim}"
         size = 2 * half_dim
-        # Each attempt draws a trial's three matrices in one call, which
-        # leaves its generator where three single draws would.  Up to
-        # SP_TAU_STACK trials are exponentiated and checked as one stack,
-        # which bounds the memory at any trial count; the trials whose guards
-        # fail draw again in the next round, up to ``attempts`` rounds.
+        # Up to SP_TAU_STACK trials are exponentiated and checked as one
+        # stack, which bounds the memory at any trial count; the trials whose
+        # guards fail draw again in the next round, up to ``attempts`` rounds.
+        # One generator serves every trial.  In round r it is set to the
+        # trial's seeded state, the one ``_rng(rc, stream, k)`` starts from,
+        # and draws r + 1 triples in one call; the last is the triple that
+        # the trial's own generator draws in its round r.
         for start in range(0, rc.trials, SP_TAU_STACK):
             trials = range(start, min(start + SP_TAU_STACK, rc.trials))
-            rngs = {k: _rng(rc, stream, k) for k in trials}
+            states = dict(zip(trials, _pcg64_states(rc.seed, stream, trials)))
             residual_of: Dict[int, float] = {}
             pending = list(trials)
-            for _ in range(attempts):
-                raw = np.array([rngs[k].normal(0.0, scale, size=(3, size, size)) for k in pending])
+            for attempt in range(attempts):
+                raw = np.empty((len(pending), 3, size, size))
+                for i, k in enumerate(pending):
+                    bits.state = states[k]
+                    raw[i] = normal(0.0, scale, size=(attempt + 1, 3, size, size))[-1]
                 stack = sp_exp(raw, half_dim)
                 residuals, ok = co.tau_cocycle_residuals(stack[:, 0], stack[:, 1], stack[:, 2])
                 residual_of.update((k, float(r)) for k, r, good in zip(pending, residuals, ok) if good)

@@ -281,8 +281,9 @@ def test_tau_residuals_match_scalar_oracle_sp4():
 
 
 def svd_tau_terms(mats, terms):
-    """``tau_terms`` with the spectral distance of every defect from an SVD:
-    the oracle of the kernel's Frobenius screen."""
+    """``tau_terms`` with an SVD of every phase factor and the spectral
+    distance of every defect from one: the oracle of the kernel's
+    determinant and Frobenius screens."""
     n = mats.shape[-1] // 2
     phases = co._phase(mats, n)
     collapsed = np.linalg.svd(phases, compute_uv=False)[..., -1] < co.PHI_SINGULAR_TOL
@@ -316,17 +317,49 @@ def term_distances(mats, terms):
     return np.array(fro), np.array(spectral)
 
 
+def realify(p):
+    """The real 2n x 2n matrices whose phase factors are the complex n x n
+    ``p``; the phase factor of their product is the product of theirs."""
+    return np.block([[p.real, -p.imag], [p.imag, p.real]])
+
+
+def unscreenable_triples(rng):
+    """Three stacks of 6 x 6 matrices, not symplectic, whose first has
+    phase factors with singular values (1e3, 1, s) for s on both sides of
+    ``PHI_SINGULAR_TOL``, and (1e8, 1, 1); the others are unitary."""
+
+    def unitary(count):
+        z = rng.normal(size=(count, 3, 3)) + 1j * rng.normal(size=(count, 3, 3))
+        return np.linalg.qr(z)[0]
+
+    profiles = np.array([(1e3, 1.0, s) for s in (1e-7, 1e-6, 2e-6, 1e-3)] + [(1e8, 1.0, 1.0)])
+    count = len(profiles)
+    first = unitary(count) @ (profiles[:, :, None] * unitary(count))
+    return realify(first), realify(unitary(count)), realify(unitary(count))
+
+
 @pytest.mark.parametrize("scale", [0.4, 1.0, 2.0])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_tau_terms_screen_matches_svd_on_every_term(n, scale):
     rng = np.random.default_rng([67, n, int(10 * scale)])
     g1, g2, g3 = sp_exp(rng.normal(0.0, scale, size=(3, 200, 2 * n, 2 * n)), n)
+    if n == 3:
+        # trials whose phase factors the determinant screen cannot clear,
+        # so their singular-value guard falls through to the SVD
+        extra = unscreenable_triples(rng)
+        g1, g2, g3 = (np.concatenate([g, e]) for g, e in zip((g1, g2, g3), extra))
+        phases = co._phase(extra[0], n)
+        bound = np.abs(np.linalg.det(phases)) / np.linalg.norm(phases, axis=(-2, -1)) ** (n - 1)
+        assert np.all(bound < 2 * co.PHI_SINGULAR_TOL)
     mats = np.stack([g1, g2, g3, g1 @ g2, g2 @ g3, g1 @ g2 @ g3, g1 @ (g2 @ g3)])
     terms = ((0, 1, 3), (3, 2, 5), (1, 2, 4), (0, 4, 6))
     values, ok = co.tau_terms(mats, terms)
     expected_values, expected_ok = svd_tau_terms(mats, terms)
     assert np.array_equal(ok, expected_ok)
     assert values.tobytes() == expected_values.tobytes()
+    if n == 3:
+        # the SVD collapses the factor at 1e-7 and clears those at 2e-6 and above
+        assert list(ok[-5:][[0, 2, 3, 4]]) == [False, True, True, True]
     if n > 1 and scale >= 1.0:
         # some defects here are ones the Frobenius norm cannot clear and
         # the SVD does

@@ -440,6 +440,20 @@ TWO_SEGMENTS = (
     '"widths":{"0:0":"1","0:1":"1","1:0":"1","1:1":"1"}}'
 )
 DISC_PAIR = ("--g1", '{"a":["5/4","0"],"b":["3/4","0"]}', "--g2", '{"a":["4/3","1/3"],"b":["2/3","2/3"]}')
+# a JSON list nested past Python's recursion limit
+DEEP_LIST = "[" * 3000 + "]" * 3000
+
+
+def with_files(tmp_path, args):
+    """``args`` with each bytes argument replaced by the path of a file holding those bytes."""
+    out = []
+    for i, arg in enumerate(args):
+        if isinstance(arg, bytes):
+            path = tmp_path / f"arg{i}.json"
+            path.write_bytes(arg)
+            arg = str(path)
+        out.append(arg)
+    return out
 
 
 class TestModuleCommands:
@@ -489,6 +503,22 @@ class TestModuleCommands:
         result = self.invoke("rtree", "validate", "--track", '{"vertices": []}')
         assert result.exit_code == 1
         assert json.loads(result.output)["ok"] is False
+
+    @pytest.mark.parametrize(
+        "content, key",
+        [
+            (b"{bad", "malformed JSON for train track"),
+            (b"\xff\xfe", "can't decode byte 0xff"),
+            (DEEP_LIST.encode(), "is nested too deeply"),
+        ],
+        ids=["malformed", "not-utf8", "too-deep"],
+    )
+    def test_rtree_validate_refuses_unreadable_file(self, content, key, tmp_path):
+        # validate reports a track it cannot read in its verdict, as it does one it rejects
+        result = self.invoke("rtree", "validate", "--track", *with_files(tmp_path, [content]))
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        data = json.loads(result.output)
+        assert data["ok"] is False and key in data["error"]
 
     @pytest.mark.parametrize(
         "change, key",
@@ -624,10 +654,15 @@ class TestModuleCommands:
             (("mobius", "length", "--g", '{"a":[2,0],"b":[0,0]}'), "--g: |a|^2 - |b|^2 = 4 != 1"),
             (("mobius", "gram", "--g1", '{"a":[2,0],"b":[0,0]}', *DISC_PAIR[2:]), "--g1: |a|^2"),
             (("mobius", "cocycle", *DISC_PAIR[:3], '{"a":["x","0"],"b":[0,0]}'), "--g2: expected"),
+            # a bytes argument is the content of a file whose path is passed
+            (("rtree", "length", "--word", DEEP_LIST), "JSON for --word is nested too deeply"),
+            (("run", "--config", DEEP_LIST.encode()), "is nested too deeply"),
+            (("rtree", "metric", "--track", b"{bad", "--points", "[]"), "malformed JSON for train track"),
+            (("rtree", "metric", "--track", b"\xff\xfe", "--points", "[]"), "can't decode byte 0xff"),
         ],
     )
-    def test_bad_probe_argument_is_one_error_line(self, args, key):
-        assert_one_error_line(self.invoke(*args), key)
+    def test_bad_probe_argument_is_one_error_line(self, args, key, tmp_path):
+        assert_one_error_line(self.invoke(*with_files(tmp_path, args)), key)
 
     @pytest.mark.parametrize(
         "args",
